@@ -5,14 +5,11 @@ spectrum-derived fading correlation, and a Monte Carlo link simulator."""
 from .bep import (
     ChernoffResult,
     DecisionStatistics,
-    PartialFractionSet,
     chernoff_optimum,
     chernoff_suboptimum,
     exact_bep,
     optimum_weights,
-    pf_params,
     power_split,
-    semi_analytic_bep,
 )
 from .channel import (
     BranchParams,
@@ -23,7 +20,7 @@ from .channel import (
     rho_from_doppler,
     validate_config,
 )
-from .errors import ConfigError, ConvergenceError, DegenerateBranchError
+from .errors import ConfigError, ConvergenceError
 from .simulate import (
     BepEstimate,
     FadingPair,
@@ -47,13 +44,11 @@ __all__ = [
     "ConfigError",
     "ConvergenceError",
     "DecisionStatistics",
-    "DegenerateBranchError",
     "Detector",
     "DiversityConfig",
     "DopplerSpec",
     "FadingPair",
     "Observation",
-    "PartialFractionSet",
     "SimScale",
     "SpectrumKind",
     "bessel_j0",
@@ -66,10 +61,8 @@ __all__ = [
     "loglik_metric",
     "make_observation",
     "optimum_weights",
-    "pf_params",
     "power_split",
     "rho_from_doppler",
     "sample_fading_pair",
-    "semi_analytic_bep",
     "validate_config",
 ]

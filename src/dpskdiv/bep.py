@@ -5,49 +5,33 @@ the per-branch mean SNR gamma_i; the published error-probability formulas
 depend only on (rho_i, gamma_i), so nothing is lost.
 
 The decision variable splits as X - Y with X, Y independent weighted sums of
-squared complex Gaussians, i.e. sums of exponentials.  Partial-fraction
-expansion of the two mixture densities gives the closed form
+squared complex Gaussians, i.e. sums of independent exponentials, X with
+means proportional to alpha_i and Y with means proportional to beta_j.  Under
+optimum combining alpha_i = rho_i gamma_i / (1 + gamma_i - rho_i gamma_i) and
+beta_i = rho_i gamma_i / (1 + gamma_i + rho_i gamma_i), while unit-weight
+(suboptimum) combining has alpha_i = 1 + gamma_i + rho_i gamma_i and
+beta_i = 1 + gamma_i - rho_i gamma_i.
 
-    P_b = sum_i sum_j A_i B_j beta_j / (alpha_i + beta_j)
-
-where under optimum combining alpha_i = rho_i gamma_i / (1 + gamma_i - rho_i gamma_i)
-and beta_i = rho_i gamma_i / (1 + gamma_i + rho_i gamma_i), while unit-weight
-(suboptimum) combining swaps in alpha_i = 1 + gamma_i + rho_i gamma_i and
-beta_i = 1 + gamma_i - rho_i gamma_i, with the same mixture-weight recipe
-A_i = prod_{m != i} alpha_i / (alpha_i - alpha_m).
+The paper writes P_b = P(X < Y) as the partial-fraction double sum
+sum_i sum_j A_i B_j beta_j / (alpha_i + beta_j) with
+A_i = prod_{m != i} alpha_i / (alpha_i - alpha_m).  That form is not used at
+runtime: the weights A_i B_j grow without bound and cancel as poles crowd
+together, and they do not exist for repeated poles.  exact_bep runs the phase
+race instead.  X and Y pass through their exponential phases one after
+another; by memorylessness, in phase state (i, j) X completes its phase first
+with probability beta_j / (alpha_i + beta_j).  P_b is the chance that X
+completes all L phases before Y does, an O(L^2) recursion whose terms are all
+positive, so nothing cancels and repeated poles need no special case.  The
+test suite checks it against the partial-fraction form evaluated in high
+precision.
 """
 
 import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-import numpy as np
-from scipy.integrate import quad
-
 from .channel import BranchParams, Detector, DiversityConfig, validate_branches, validate_config
-from .errors import ConfigError, DegenerateBranchError
-
-# Two alphas (or betas) closer than this relative gap are treated as a
-# repeated pole and the whole list is perturbed before forming A/B.
-PERTURB_DETECT_REL = 1e-9
-PERTURB_DELTA = 1e-6
-
-
-@dataclass(frozen=True)
-class PartialFractionSet:
-    """Pole locations and mixture weights of the X and Y densities.
-
-    a[i] weights the exponential with rate 1/(2*alphas[i]) in the X density;
-    b[j] the one with rate 1/(2*betas[j]) in the Y density (common scale
-    factors cancel in every probability computed from them).
-    """
-
-    alphas: Tuple[float, ...]
-    betas: Tuple[float, ...]
-    a: Tuple[float, ...]
-    b: Tuple[float, ...]
-    perturbation_applied: bool = False
-    perturbation_scale: float = 0.0
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -80,84 +64,27 @@ def optimum_weights(branches: Sequence[BranchParams]) -> List[float]:
     return out
 
 
-def _separate(values: List[float]) -> Tuple[List[float], bool]:
-    """Perturb a pole list that contains (near-)coincident entries.
-
-    Any pair closer than PERTURB_DETECT_REL relative triggers a deterministic
-    relative offset i * PERTURB_DELTA on every entry, i being the 0-based
-    position.  Keeps the closed form usable at the cost of a relative error
-    on the order of the offset.
-    """
-    n = len(values)
-    degenerate = any(
-        abs(values[i] - values[m]) < PERTURB_DETECT_REL * max(abs(values[i]), abs(values[m]))
-        for i in range(n)
-        for m in range(i + 1, n)
-    )
-    if not degenerate:
-        return values, False
-    perturbed = [v * (1.0 + i * PERTURB_DELTA) for i, v in enumerate(values)]
-    still = any(
-        abs(perturbed[i] - perturbed[m]) < PERTURB_DETECT_REL * max(abs(perturbed[i]), abs(perturbed[m]))
-        for i in range(n)
-        for m in range(i + 1, n)
-    )
-    if still:
-        raise ConfigError("branch parameters too close to separate by perturbation")
-    return perturbed, True
-
-
-def _mixture_weights(poles: Sequence[float]) -> List[float]:
-    out = []
-    for i, pi in enumerate(poles):
-        prod = 1.0
-        for m, pm in enumerate(poles):
-            if m != i:
-                prod *= pi / (pi - pm)
-        out.append(prod)
-    return out
-
-
-def pf_params(branches: Sequence[BranchParams], detector: Detector) -> PartialFractionSet:
-    """Poles and mixture weights of the decision-variable densities.
-
-    Raises DegenerateBranchError if a branch has rho*gamma = 0 under the
-    optimum detector; such a branch gets zero combining weight and its poles
-    collapse to 0.  exact_bep drops those branches before calling here.
-    """
-    branches = validate_branches(branches)
-    alphas: List[float] = []
-    betas: List[float] = []
-    for i, br in enumerate(branches):
-        g = br.gamma
-        rg = br.rho * g
-        if detector is Detector.OPTIMUM:
-            if rg == 0.0:
-                raise DegenerateBranchError(
-                    f"branch {i}: rho*gamma = 0 carries no weight under the optimum detector"
-                )
-            alphas.append(rg / (1.0 + g - rg))
-            betas.append(rg / (1.0 + g + rg))
-        else:
-            alphas.append(1.0 + g + rg)
-            betas.append(1.0 + g - rg)
-    alphas, pert_a = _separate(alphas)
-    betas, pert_b = _separate(betas)
-    perturbed = pert_a or pert_b
-    return PartialFractionSet(
-        alphas=tuple(alphas),
-        betas=tuple(betas),
-        a=tuple(_mixture_weights(alphas)),
-        b=tuple(_mixture_weights(betas)),
-        perturbation_applied=perturbed,
-        perturbation_scale=PERTURB_DELTA if perturbed else 0.0,
-    )
-
-
 def _active_branches(cfg: DiversityConfig) -> List[BranchParams]:
     if cfg.detector is Detector.OPTIMUM:
         return [br for br in cfg.branches if br.rho * br.gamma > 0.0]
     return list(cfg.branches)
+
+
+def _phase_race(alphas: Sequence[float], betas: Sequence[float]) -> float:
+    """P(X < Y) for X, Y sums of independent exponentials with the given means.
+
+    f(i, j), the chance that X wins from phase state (i, j), obeys
+    f = [beta_j f(i+1, j) + alpha_i f(i, j+1)] / (alpha_i + beta_j) with
+    f(L, j) = 1 for j < L and f(i, L) = 0.  row holds f(i+1, .) and is
+    overwritten with f(i, .) from the right.
+    """
+    n = len(alphas)
+    row = [1.0] * n + [0.0]
+    for a in reversed(alphas):
+        for j in range(n - 1, -1, -1):
+            b = betas[j]
+            row[j] = (b * row[j] + a * row[j + 1]) / (a + b)
+    return row[0]
 
 
 def exact_bep(cfg: DiversityConfig) -> float:
@@ -171,39 +98,21 @@ def exact_bep(cfg: DiversityConfig) -> float:
     active = _active_branches(cfg)
     if not active:
         return 0.5
-    pf = pf_params(active, cfg.detector)
-    terms = [
-        ai * bj * betj / (ali + betj)
-        for ali, ai in zip(pf.alphas, pf.a)
-        for betj, bj in zip(pf.betas, pf.b)
-    ]
-    return math.fsum(terms)
-
-
-def semi_analytic_bep(cfg: DiversityConfig, tol: float = 1e-8) -> float:
-    """P(X < Y) by adaptive quadrature of the Y density against the X CDF.
-
-    Independent cross-check of exact_bep: integrates
-    int_0^inf p_Y(y) F_X(y) dy numerically instead of using the closed-form
-    double sum.
-    """
-    cfg = validate_config(cfg)
-    active = _active_branches(cfg)
-    if not active:
-        return 0.5
-    pf = pf_params(active, cfg.detector)
-    al = np.array(pf.alphas)
-    bt = np.array(pf.betas)
-    a = np.array(pf.a)
-    b = np.array(pf.b)
-
-    def integrand(y):
-        p_y = np.sum(b / (2.0 * bt) * np.exp(-y / (2.0 * bt)))
-        cdf_x = np.sum(a * (1.0 - np.exp(-y / (2.0 * al))))
-        return p_y * cdf_x
-
-    val, _ = quad(integrand, 0.0, np.inf, epsabs=tol * 1e-2, epsrel=1e-10, limit=200)
-    return float(val)
+    alphas: List[float] = []
+    betas: List[float] = []
+    for br in active:
+        g = br.gamma
+        rg = br.rho * g
+        # 1 + gamma - rho gamma, free of cancellation as rho -> 1
+        diff = 1.0 + g * (1.0 - br.rho)
+        if cfg.detector is Detector.OPTIMUM:
+            alphas.append(rg / diff)
+            betas.append(rg / (1.0 + g + rg))
+        else:
+            alphas.append(1.0 + g + rg)
+            betas.append(diff)
+    # sorted, so that the result does not depend on the order of the branches
+    return _phase_race(sorted(alphas), sorted(betas))
 
 
 def power_split(gamma_b_db: float, eta: float) -> Tuple[float, float]:
@@ -244,69 +153,40 @@ def chernoff_optimum(cfg: DiversityConfig, improved: bool = True) -> ChernoffRes
     return ChernoffResult(bound=bound, s_opt=s_opt, improved=improved)
 
 
-def _golden_min(f, lo: float, hi: float, rel_tol: float) -> float:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while (b - a) > rel_tol * b:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
-
-
 def chernoff_suboptimum(cfg: DiversityConfig, improved: bool = True) -> ChernoffResult:
     """Numerically optimized Chernoff bound for the unit-weight detector.
 
     Minimizes prod_i 1 / [(1 + 4 s alpha_i)(1 - 4 s beta_i)] over
     s in (0, 1/(4 max_i beta_i)) with alpha_i = 1 + gamma_i + rho_i gamma_i
     and beta_i = 1 + gamma_i - rho_i gamma_i.  The log objective is convex,
-    so the minimum is unique; golden-section search brackets it and a
-    bisection on the analytic log-derivative polishes the location to full
-    precision (comparison-based search alone localizes a smooth minimum no
-    better than sqrt(eps) relative).
+    so its analytic derivative is strictly increasing and a bisection on it
+    locates the unique minimizer to full precision.
     """
     cfg = validate_config(cfg)
     if cfg.detector is not Detector.SUBOPTIMUM:
         raise ConfigError("chernoff_suboptimum requires a suboptimum-detector config")
-    al = np.array([1.0 + br.gamma + br.rho * br.gamma for br in cfg.branches])
-    bt = np.array([1.0 + br.gamma - br.rho * br.gamma for br in cfg.branches])
-    s_hi = 1.0 / (4.0 * float(bt.max()))
+    al = [1.0 + br.gamma + br.rho * br.gamma for br in cfg.branches]
+    bt = [1.0 + br.gamma - br.rho * br.gamma for br in cfg.branches]
+    s_hi = 1.0 / (4.0 * max(bt))
     lo = 1e-12 * s_hi
     hi = (1.0 - 1e-12) * s_hi
 
     def log_bound(s):
-        return -float(np.sum(np.log1p(4.0 * s * al) + np.log1p(-4.0 * s * bt)))
+        return -math.fsum(math.log1p(4.0 * s * a) + math.log1p(-4.0 * s * b) for a, b in zip(al, bt))
 
     def dlog_bound(s):
-        return float(np.sum(-4.0 * al / (1.0 + 4.0 * s * al) + 4.0 * bt / (1.0 - 4.0 * s * bt)))
+        return sum(4.0 * b / (1.0 - 4.0 * s * b) - 4.0 * a / (1.0 + 4.0 * s * a) for a, b in zip(al, bt))
 
-    s_opt = _golden_min(log_bound, lo, hi, rel_tol=1e-10)
-    # dlog_bound is strictly increasing; its root is the exact minimizer.
     if dlog_bound(lo) >= 0.0:
         s_opt = lo
     else:
-        a, b = lo, hi
-        if dlog_bound(s_opt) > 0.0:
-            b = s_opt
-        else:
-            a = s_opt
-        for _ in range(200):
-            mid = 0.5 * (a + b)
+        while hi - lo > 1e-15 * hi:
+            mid = 0.5 * (lo + hi)
             if dlog_bound(mid) > 0.0:
-                b = mid
+                hi = mid
             else:
-                a = mid
-            if (b - a) <= 1e-15 * b:
-                break
-        s_opt = 0.5 * (a + b)
+                lo = mid
+        s_opt = 0.5 * (lo + hi)
     bound = math.exp(log_bound(s_opt))
     if improved:
         bound *= 0.5

@@ -5,11 +5,6 @@ class ConfigError(ValueError):
     """Invalid branch, spectrum, sweep, or command configuration."""
 
 
-class DegenerateBranchError(ConfigError):
-    """Branch with rho * gamma = 0 requested where the optimum detector needs a
-    strictly positive combining weight."""
-
-
 class ConvergenceError(RuntimeError):
     """An iterative numerical procedure hit its resource cap before reaching
     tolerance.

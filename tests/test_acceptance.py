@@ -27,9 +27,10 @@ from dpskdiv import (
     power_split,
     rho_from_doppler,
     sample_fading_pair,
-    semi_analytic_bep,
 )
 from dpskdiv.cli import main as cli_main
+
+import bep_oracle as oracle
 
 JAKES_FDT005_DENSE_GRID = 0.975528133401303
 
@@ -76,19 +77,36 @@ def test_reference_value_regression(capsys):
 
 
 def test_semi_analytic_cross_check(capsys):
+    # exact_bep against the independent mpmath oracle (tests/bep_oracle.py)
+    # for L <= 8: distinct poles, identical branches, pole gaps of 1e-9 to
+    # 1e-1, and a mix of copies and free branches
     rng = np.random.default_rng(7)
     worst = 0.0
-    for k in range(200):
-        l = int(rng.integers(1, 5))
-        branches = tuple(
-            BranchParams(float(rng.uniform(0.05, 1.0)),
-                         float(10.0 ** rng.uniform(-2.0, 3.0)))
-            for _ in range(l))
-        det = Detector.OPTIMUM if k % 2 == 0 else Detector.SUBOPTIMUM
-        cfg = DiversityConfig(branches, det)
-        worst = max(worst, abs(semi_analytic_bep(cfg) - exact_bep(cfg)))
-    _report(capsys, "semi-analytic cross-check", worst < 1e-8,
-            f"max |quad - closed form| = {worst:.2e} over 200 configs")
+    in_range = True
+    for k in range(160):
+        l = int(rng.integers(1, 9))
+
+        def draw():
+            return (float(rng.uniform(0.05, 1.0)), float(10.0 ** rng.uniform(-2.0, 3.0)))
+
+        rho, gamma = draw()
+        gap = 10.0 ** -float(rng.integers(1, 10))
+        shape = k % 4
+        if shape == 0:
+            pairs = [(rho, gamma)] + [draw() for _ in range(l - 1)]
+        elif shape == 1:
+            pairs = [(rho, gamma)] * l
+        elif shape == 2:
+            pairs = [(rho, gamma * (1.0 + i * gap)) for i in range(l)]
+        else:
+            pairs = [(rho, gamma) if i % 2 else draw() for i in range(l)]
+        det = Detector.OPTIMUM if k % 8 < 4 else Detector.SUBOPTIMUM
+        cfg = DiversityConfig(tuple(BranchParams(r, g) for r, g in pairs), det)
+        p = exact_bep(cfg)
+        in_range = in_range and 0.0 <= p <= 1.0
+        worst = max(worst, oracle.rel_err(p, oracle.bep(cfg)))
+    _report(capsys, "oracle cross-check", in_range and worst < 1e-13,
+            f"max relative error {worst:.2e} over 160 configs, L <= 8, ties and near-ties")
 
 
 def test_monte_carlo_agreement(capsys):

@@ -1,21 +1,20 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bep_oracle as oracle
 from dpskdiv import (
     BranchParams,
     ConfigError,
-    DegenerateBranchError,
     Detector,
     DiversityConfig,
     exact_bep,
     optimum_weights,
-    pf_params,
     power_split,
-    semi_analytic_bep,
 )
 
 
@@ -51,58 +50,6 @@ def test_weights_nonnegative():
         assert all(w >= 0.0 for w in optimum_weights(branches))
 
 
-# ---------------------------------------------------------------- pf_params
-
-
-def test_pf_l1_weights_are_unity():
-    pf = pf_params([BranchParams(0.6, 4.0)], Detector.OPTIMUM)
-    assert pf.a == (1.0,) and pf.b == (1.0,)
-    assert not pf.perturbation_applied
-
-
-def test_pf_optimum_hand_values():
-    pf = pf_params([BranchParams(1.0, 3.0)], Detector.OPTIMUM)
-    assert abs(pf.alphas[0] - 3.0) < 1e-15
-    assert abs(pf.betas[0] - 3.0 / 7.0) < 1e-15
-
-
-def test_pf_suboptimum_hand_values():
-    pf = pf_params([BranchParams(0.5, 2.0)], Detector.SUBOPTIMUM)
-    assert abs(pf.alphas[0] - 4.0) < 1e-15
-    assert abs(pf.betas[0] - 2.0) < 1e-15
-
-
-def test_pf_degenerate_optimum_branch_rejected():
-    with pytest.raises(DegenerateBranchError):
-        pf_params([BranchParams(0.0, 5.0)], Detector.OPTIMUM)
-    with pytest.raises(DegenerateBranchError):
-        pf_params([BranchParams(0.9, 0.0), BranchParams(0.9, 3.0)], Detector.OPTIMUM)
-
-
-def test_pf_identical_branches_perturbed():
-    pf = pf_params([BranchParams(0.975, 10.0)] * 2, Detector.OPTIMUM)
-    assert pf.perturbation_applied
-    assert pf.perturbation_scale == 1e-6
-    assert pf.alphas[0] != pf.alphas[1]
-    assert abs(math.fsum(pf.a) - 1.0) < 1e-4
-    assert abs(math.fsum(pf.b) - 1.0) < 1e-4
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.lists(
-    st.tuples(st.floats(0.05, 1.0), st.floats(0.01, 1000.0)),
-    min_size=1, max_size=4))
-def test_pf_normalization(pairs):
-    branches = [BranchParams(r, g) for r, g in pairs]
-    for det in Detector:
-        pf = pf_params(branches, det)
-        # randomly close branches get perturbed; the clean-pole sum rule
-        # applies when no perturbation fired
-        if not pf.perturbation_applied:
-            assert abs(math.fsum(pf.a) - 1.0) < 1e-10
-            assert abs(math.fsum(pf.b) - 1.0) < 1e-10
-
-
 # ---------------------------------------------------------------- exact_bep
 
 
@@ -127,8 +74,8 @@ def test_optimum_all_degenerate_is_coin_flip():
 
 
 def test_near_iid_matches_identical_branch_perturbation():
-    # the closed form under forced perturbation must agree with a genuinely
-    # near-identical split to well inside the documented 1e-4 error
+    # exactly identical branches (repeated poles) and a near-identical split
+    # must give nearly the same result
     g1, g2 = power_split(15.0, 0.5001)
     near = exact_bep(cfg_of((0.975, g1), (0.975, g2)))
     g = 0.5 * (10.0 ** 1.5)
@@ -174,12 +121,15 @@ def test_suboptimum_monotone_under_balanced_growth():
 def test_suboptimum_imbalance_penalty():
     # unit-weight combining is NOT monotone in a single branch SNR: past a
     # point, growing one branch with the other fixed makes things worse
-    # (cross-checked by integration here and by Monte Carlo during design)
+    # (cross-checked against the mpmath oracle here and by Monte Carlo
+    # during design)
     lo = cfg_of((0.975, 146.78), (0.9, 5.0), detector=Detector.SUBOPTIMUM)
     hi = cfg_of((0.975, 1000.0), (0.9, 5.0), detector=Detector.SUBOPTIMUM)
     p_lo, p_hi = exact_bep(lo), exact_bep(hi)
     assert p_hi > p_lo
-    assert abs(semi_analytic_bep(hi) - p_hi) < 1e-8
+    assert oracle.bep(hi) > oracle.bep(lo)
+    assert oracle.rel_err(p_hi, oracle.bep(hi)) < 1e-13
+    assert oracle.rel_err(p_lo, oracle.bep(lo)) < 1e-13
 
 
 def test_optimum_never_worse_than_suboptimum():
@@ -221,26 +171,93 @@ def test_thirty_db_unbalanced_points():
     assert abs(p_sub - 1.616e-3) / 1.616e-3 < 5e-3
 
 
-# ------------------------------------------------------------- semi-analytic
+# ------------------------------------------------------------- oracle
+# bep_oracle sums the residues of the paper's partial-fraction form in high
+# precision, and checks that against a negative-binomial form for identical
+# branches and a semi-analytic Gil-Pelaez inversion.
+
+
+def test_four_identical_branches_regression():
+    # repeated poles: the partial-fraction form gave 3.7e18 here in floats
+    cfg = cfg_of(*[(0.975, 10.0)] * 4)
+    p = exact_bep(cfg)
+    assert abs(p - 3.1734430964800754e-4) / 3.1734430964800754e-4 < 1e-14
+    assert oracle.rel_err(p, oracle.bep(cfg)) < 1e-13
+
+
+def test_three_branch_small_gap_regression():
+    # relative pole gap 1e-3: the partial-fraction form gave -1.95e-3 in floats
+    cfg = cfg_of((0.975, 10.0), (0.975, 10.01), (0.975, 10.02))
+    p = exact_bep(cfg)
+    assert 0.0 <= p <= 1.0
+    assert oracle.rel_err(p, oracle.bep(cfg)) < 1e-13
+
+
+@st.composite
+def crowded_branches(draw):
+    """1 to 8 branches; each after the first is drawn freely, copies the
+    first one, or sits at a relative gamma gap of 1e-9 to 1e-1 from it."""
+    first = draw(st.tuples(st.floats(0.05, 1.0), st.floats(0.01, 1000.0)))
+    pairs = [first]
+    for i in range(1, draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["free", "copy", "near"]))
+        if kind == "free":
+            pairs.append(draw(st.tuples(st.floats(0.05, 1.0), st.floats(0.01, 1000.0))))
+        elif kind == "copy":
+            pairs.append(first)
+        else:
+            gap = 10.0 ** -draw(st.integers(1, 9))
+            pairs.append((first[0], first[1] * (1.0 + i * gap)))
+    return pairs
+
+
+@settings(max_examples=100, deadline=None)
+@given(crowded_branches())
+def test_exact_bep_matches_oracle(pairs):
+    for det in Detector:
+        cfg = cfg_of(*pairs, detector=det)
+        p = exact_bep(cfg)
+        assert 0.0 <= p <= 1.0
+        assert oracle.rel_err(p, oracle.bep(cfg)) < 1e-13
+
+
+def test_oracle_repeated_poles_match_negative_binomial():
+    for n in range(1, 9):
+        for det in Detector:
+            alphas, betas = oracle.poles(cfg_of(*[(0.9, 30.0)] * n, detector=det))
+            nb = oracle.negative_binomial(alphas[0], betas[0], n)
+            assert oracle.rel_err(oracle.partial_fractions(alphas, betas), nb) < 1e-30
 
 
 def test_semi_analytic_l1():
-    cfg = cfg_of((1.0, 10.0))
-    assert abs(semi_analytic_bep(cfg) - 1.0 / 22.0) < 1e-8
+    alphas, betas = oracle.poles(cfg_of((1.0, 10.0)))
+    with mpmath.workdps(40):
+        assert oracle.rel_err(oracle.inversion(alphas, betas), mpmath.mpf(1) / 22) < 1e-20
 
 
 def test_semi_analytic_uncorrelated():
-    cfg = cfg_of((0.0, 2.0), (0.0, 9.0), detector=Detector.SUBOPTIMUM)
-    assert abs(semi_analytic_bep(cfg) - 0.5) < 1e-8
+    alphas, betas = oracle.poles(cfg_of((0.0, 2.0), (0.0, 9.0), detector=Detector.SUBOPTIMUM))
+    assert oracle.rel_err(oracle.inversion(alphas, betas), 0.5) < 1e-20
 
 
 def test_semi_analytic_matches_closed_form():
+    # the inversion against the residue sum and exact_bep, for distinct
+    # poles, identical branches and a mix of both
     rng = np.random.default_rng(29)
-    for _ in range(25):
-        pairs = [(rng.uniform(0.1, 1.0), rng.uniform(0.1, 300.0)) for _ in range(2)]
+
+    def draw():
+        return (rng.uniform(0.1, 1.0), rng.uniform(0.1, 300.0))
+
+    shapes = [[draw() for _ in range(int(rng.integers(1, 9)))] for _ in range(3)]
+    shapes.append([draw()] * 5)
+    first = draw()
+    shapes.append([first, draw(), first, draw(), first, first])
+    for pairs in shapes:
         for det in Detector:
             cfg = cfg_of(*pairs, detector=det)
-            assert abs(semi_analytic_bep(cfg) - exact_bep(cfg)) < 1e-8
+            inv = oracle.inversion(*oracle.poles(cfg))
+            assert oracle.rel_err(inv, oracle.bep(cfg)) < 1e-20
+            assert oracle.rel_err(exact_bep(cfg), inv) < 1e-13
 
 
 # ---------------------------------------------------------------- power_split

@@ -150,9 +150,8 @@ def test_decision_statistics_split():
 
 
 def test_decision_statistics_moments():
-    # E[x_i] = alpha_i / 2 and E[y_i] = beta_i / 2 under optimum weights
-    from dpskdiv import pf_params
-
+    # E[x_i] = alpha_i / 2 and E[y_i] = beta_i / 2 under optimum weights,
+    # alpha = rho gamma / (1 + gamma - rho gamma), beta = rho gamma / (1 + gamma + rho gamma)
     br = BranchParams(0.975, 10.0)
     n = 10**6
     pair = sample_fading_pair(br, SCALE, rng_of(18), size=n)
@@ -160,9 +159,11 @@ def test_decision_statistics_moments():
     (w,) = optimum_weights([br])
     x = w * np.abs(obs.z_curr + obs.z_prev) ** 2 / 4.0
     y = w * np.abs(obs.z_curr - obs.z_prev) ** 2 / 4.0
-    pf = pf_params([br], Detector.OPTIMUM)
-    assert abs(np.mean(x) / (pf.alphas[0] / 2.0) - 1.0) < 0.01
-    assert abs(np.mean(y) / (pf.betas[0] / 2.0) - 1.0) < 0.01
+    rg = br.rho * br.gamma
+    alpha = rg / (1.0 + br.gamma - rg)
+    beta = rg / (1.0 + br.gamma + rg)
+    assert abs(np.mean(x) / (alpha / 2.0) - 1.0) < 0.01
+    assert abs(np.mean(y) / (beta / 2.0) - 1.0) < 0.01
 
 
 # ----------------------------------------------------------- log likelihood
