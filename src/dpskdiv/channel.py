@@ -8,18 +8,22 @@ matched filter over two bit windows offset by j bits,
 
     R(j) = int_0^1 int_0^1 r(u - v + j) du dv,    rho = R(1) / R(0),
 
-with all lags expressed in bit durations.
+with all lags expressed in bit durations.  u - v has the triangular density
+1 - |t| on [-1, 1], so R(j) = int (1 - |s - j|) r(|s|) ds over s in
+[j - 1, j + 1], a 1-D integral.  Its integrand creases only at s = 0, at
+s = j and at the knots of a tabulated covariance; rho_from_doppler splits the
+range there and runs a Gauss-Legendre rule, in pure Python, on each piece.
 """
 
+import bisect
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-import numpy as np
-
 from .errors import ConfigError, ConvergenceError
-from .special import _j0_array
+from .special import bessel_j0
 
 _LN2 = math.log(2.0)
 
@@ -126,45 +130,98 @@ def _validate_spec(spec: DopplerSpec) -> None:
 
 
 def _covariance(spec: DopplerSpec):
-    """Normalized covariance r(tau) as a vectorized callable of |lag in bits|."""
+    """Normalized covariance r(s) as a scalar callable of the lag s >= 0 in
+    bits, and the edges that split [0, 2] into pieces on which the integrands
+    of _rho_at are smooth: 0, 1, 2 and every table knot below 2."""
     fdt = spec.fdt
+    edges = (0.0, 1.0, 2.0)
     if spec.kind is SpectrumKind.JAKES:
-        return lambda x: _j0_array(2.0 * np.pi * fdt * x)
+        return (lambda s: bessel_j0(2.0 * math.pi * fdt * s)), edges
     if spec.kind is SpectrumKind.GAUSSIAN:
         # Gaussian spectrum with fdT read as the half-power half-width, so
         # r(tau) = exp(-(pi*fdT*tau)^2 / ln 2).
-        c = (np.pi * fdt) ** 2 / _LN2
-        return lambda x: np.exp(-c * np.square(x))
+        c = (math.pi * fdt) ** 2 / _LN2
+        return (lambda s: math.exp(-c * s * s)), edges
     if spec.kind is SpectrumKind.RECTANGULAR:
-        # np.sinc includes the pi factor: r(tau) = sin(2 pi fdT tau)/(2 pi fdT tau)
-        return lambda x: np.sinc(2.0 * fdt * x)
-    lags = np.array([p[0] for p in spec.table], dtype=float)
-    vals = np.array([p[1] for p in spec.table], dtype=float)
-    return lambda x: np.interp(np.abs(x), lags, vals)
+        w = 2.0 * math.pi * fdt
+
+        def sinc(s):
+            # r(tau) = sin(2 pi fdT tau) / (2 pi fdT tau)
+            x = w * s
+            return math.sin(x) / x if x else 1.0
+
+        return sinc, edges
+    lags = [float(p[0]) for p in spec.table]
+    vals = [float(p[1]) for p in spec.table]
+
+    def interp(s):
+        # the pieces end at the knots, so 0 < s < 2 <= lags[-1] and i + 1 exists
+        i = bisect.bisect_right(lags, s) - 1
+        return vals[i] + (vals[i + 1] - vals[i]) * (s - lags[i]) / (lags[i + 1] - lags[i])
+
+    return interp, tuple(sorted(set(edges).union(l for l in lags if l < 2.0)))
 
 
-def _rho_at_order(cov, order: int) -> float:
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    u = 0.5 * (nodes + 1.0)
-    w = 0.5 * weights
-    diff = u[:, None] - u[None, :]
-    r0 = w @ cov(np.abs(diff)) @ w
-    r1 = w @ cov(np.abs(diff + 1.0)) @ w
-    return float(r1 / r0)
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> Tuple[Tuple[float, float], ...]:
+    """(node, weight) pairs of the n-point Gauss-Legendre rule on [-1, 1].
+
+    Each root of P_n in (0, 1) comes from Newton's method on the three-term
+    recurrence, started at Tricomi's estimate; the weight is
+    2 / ((1 - x^2) P_n'(x)^2).  The negative roots mirror the positive ones.
+    n never exceeds RHO_ORDER_CAP, so the cache stays small.
+    """
+    half = []
+    for i in range(1, (n + 1) // 2 + 1):
+        x = (1.0 - (n - 1) / (8.0 * n ** 3)) * math.cos(math.pi * (i - 0.25) / (n + 0.5))
+        for _ in range(100):
+            p_prev, p = 1.0, x
+            for k in range(2, n + 1):
+                p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+            dp = n * (x * p - p_prev) / (x * x - 1.0)
+            step = p / dp
+            x -= step
+            if abs(step) < 1e-15:
+                break
+        half.append((x, 2.0 / ((1.0 - x * x) * dp * dp)))
+    # for odd n the last root is the middle node 0, which has no mirror
+    return tuple(half + [(-x, w) for x, w in half[: n // 2]])
+
+
+def _rho_at(cov, edges, n: int) -> float:
+    """R(1)/R(0) with the n-point Gauss-Legendre rule on each piece of edges.
+
+    With r even, R(0) = int_0^2 2 max(0, 1 - s) r(s) ds and
+    R(1) = int_0^2 (1 - |s - 1|) r(s) ds, so one pass over the nodes gives
+    both.
+    """
+    rule = _gauss_legendre(n)
+    r0, r1 = [], []
+    for a, b in zip(edges, edges[1:]):
+        half, mid = 0.5 * (b - a), 0.5 * (a + b)
+        for x, w in rule:
+            s = mid + half * x
+            c = half * w * cov(s)
+            r0.append(2.0 * max(0.0, 1.0 - s) * c)
+            r1.append((1.0 - abs(s - 1.0)) * c)
+    return math.fsum(r1) / math.fsum(r0)
 
 
 def rho_from_doppler(spec: DopplerSpec, quad_order: int = DEFAULT_QUAD_ORDER) -> float:
     """Fading correlation coefficient rho = R(1)/R(0) for a Doppler spectrum.
 
-    Tensor-product Gauss-Legendre quadrature on the unit square at the given
-    starting order, with order doubling until successive estimates differ by
-    less than 1e-10, capped at order 512.
+    Each R(j) is a 1-D integral over the lag s in [0, 2], split at 0, 1, 2
+    and every table knot so that each piece is smooth.  An n-point
+    Gauss-Legendre rule runs on every piece, starting at n = quad_order and
+    doubling n until successive estimates differ by less than 1e-10, capped
+    at 512 nodes per piece.  A piecewise-linear table makes each piece a
+    quadratic, so it converges at the first doubling.
 
     Parameters
     ----------
     spec : DopplerSpec
     quad_order : int
-        Starting quadrature order, >= 2.
+        Starting Gauss-Legendre nodes per smooth piece, >= 2 and <= 512.
 
     Returns
     -------
@@ -174,10 +231,10 @@ def rho_from_doppler(spec: DopplerSpec, quad_order: int = DEFAULT_QUAD_ORDER) ->
     Raises
     ------
     ConfigError
-        Invalid spectrum description or quad_order < 2.
+        Invalid spectrum description or quad_order out of range.
     ConvergenceError
-        Tolerance not reached by the order cap; carries the last two
-        estimates as .last and .previous.
+        Tolerance not reached by the cap, which takes fdT in the hundreds;
+        carries the last two estimates as .last and .previous.
     """
     _validate_spec(spec)
     quad_order = int(quad_order)
@@ -185,24 +242,16 @@ def rho_from_doppler(spec: DopplerSpec, quad_order: int = DEFAULT_QUAD_ORDER) ->
         raise ConfigError(f"quad_order={quad_order} must be >= 2")
     if quad_order > RHO_ORDER_CAP:
         raise ConfigError(f"quad_order={quad_order} exceeds the order cap {RHO_ORDER_CAP}")
-    cov = _covariance(spec)
-    prev = _rho_at_order(cov, quad_order)
-    order = quad_order
-    while True:
-        order *= 2
-        if order > RHO_ORDER_CAP:
-            raise ConvergenceError(
-                f"rho quadrature not converged to {RHO_QUAD_TOL} by order {RHO_ORDER_CAP}",
-                last=prev,
-                previous=None,
-            )
-        cur = _rho_at_order(cov, order)
-        if abs(cur - prev) < RHO_QUAD_TOL:
-            return min(1.0, max(-1.0, cur))
-        if 2 * order > RHO_ORDER_CAP:
-            raise ConvergenceError(
-                f"rho quadrature not converged to {RHO_QUAD_TOL} by order {RHO_ORDER_CAP}",
-                last=cur,
-                previous=prev,
-            )
-        prev = cur
+    cov, edges = _covariance(spec)
+    n = quad_order
+    previous, last = None, _rho_at(cov, edges, n)
+    while 2 * n <= RHO_ORDER_CAP:
+        n *= 2
+        previous, last = last, _rho_at(cov, edges, n)
+        if abs(last - previous) < RHO_QUAD_TOL:
+            return min(1.0, max(-1.0, last))
+    raise ConvergenceError(
+        f"rho quadrature not converged to {RHO_QUAD_TOL} by {RHO_ORDER_CAP} nodes per piece",
+        last=last,
+        previous=previous,
+    )

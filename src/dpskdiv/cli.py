@@ -4,7 +4,7 @@ Subcommands: bep (single point), sweep (analytic grid), simulate (Monte
 Carlo grid), doppler-rho (spectrum to correlation coefficient),
 reproduce-fig (canned figure-data grids).  CSV goes to standard output,
 diagnostics to standard error.  Exit codes: 0 success, 2 configuration
-error, 3 numerical non-convergence.
+error, 3 numerical non-convergence (the rho quadrature at extreme fdT).
 
 dB-to-linear conversion happens here and nowhere else; the library works in
 linear SNR throughout.
@@ -34,7 +34,6 @@ from .channel import (
     rho_from_doppler,
 )
 from .errors import ConfigError, ConvergenceError
-from .simulate import estimate_bep
 
 CSV_HEADER = "gamma_b_db,eta,rho,detector,exact_bep,bound,mc_p_hat,mc_ci,trials,seed"
 WORKERS_ENV = "DPSKDIV_WORKERS"
@@ -171,8 +170,10 @@ def sweep_rows(spec: SweepSpec) -> List[ResultRow]:
         raise ConfigError("rho list is empty")
     if not spec.detectors:
         raise ConfigError("detector list is empty")
-    if "mc" in outputs and spec.mc_trials is None:
-        raise ConfigError("mc output requires trials")
+    if "mc" in outputs:
+        if spec.mc_trials is None:
+            raise ConfigError("mc output requires trials")
+        from .simulate import estimate_bep  # numpy: only the simulator needs it
     rows = []
     index = 0
     for gamma_b_db in gammas:
@@ -520,7 +521,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spectrum", help="jakes, gaussian, rectangular, or tabulated")
     p.add_argument("--fdt", help="normalized Doppler bandwidth (Doppler spread x bit time)")
     p.add_argument("--table", help="covariance table file: 'lag value' per line, lags in bit times")
-    p.add_argument("--quad-order", dest="quad_order", help="starting quadrature order (default 16)")
+    p.add_argument("--quad-order", dest="quad_order",
+                   help="starting Gauss-Legendre nodes per smooth piece (default 16)")
     p.set_defaults(func=cmd_doppler_rho)
 
     p = sub.add_parser("reproduce-fig", help="emit the data grid behind a published figure")

@@ -10,17 +10,9 @@ wider range keeps the function usable on its own).
 
 import math
 
-import numpy as np
-
 _SERIES_CUTOFF = 12.0
 _MAX_SERIES_TERMS = 80
 _MAX_ASYM_TERMS = 60
-
-# Maclaurin coefficients in q = (x/2)^2: J0 = sum_k c_k q^k, c_k = (-1)^k / (k!)^2.
-# 49 terms push the truncated tail below double rounding at the cutoff.
-_SERIES_COEFFS = [1.0]
-for _k in range(1, 49):
-    _SERIES_COEFFS.append(-_SERIES_COEFFS[-1] / (_k * _k))
 
 
 def _series_scalar(ax):
@@ -80,41 +72,3 @@ def bessel_j0(x):
     if ax <= _SERIES_CUTOFF:
         return _series_scalar(ax)
     return _asym_scalar(ax)
-
-
-def _j0_array(x):
-    """Vectorized J0 over a float array; same split as the scalar path."""
-    ax = np.abs(np.asarray(x, dtype=float))
-    out = np.empty_like(ax)
-    small = ax <= _SERIES_CUTOFF
-    if small.any():
-        q = 0.25 * np.square(ax[small])
-        acc = np.full_like(q, _SERIES_COEFFS[-1])
-        for c in _SERIES_COEFFS[-2::-1]:
-            acc = acc * q + c
-        out[small] = acc
-    big = ~small
-    if big.any():
-        out[big] = _asym_array(ax[big])
-    return out
-
-
-def _asym_array(ax):
-    t = np.ones_like(ax)
-    p_sum = np.ones_like(ax)
-    q_sum = np.zeros_like(ax)
-    active = np.ones(ax.shape, dtype=bool)
-    for k in range(1, _MAX_ASYM_TERMS):
-        t_next = t * (2 * k - 1) ** 2 / (8.0 * k * ax)
-        active &= np.abs(t_next) < np.abs(t)
-        if not active.any():
-            break
-        contrib = np.where(active, t_next, 0.0)
-        if k % 2 == 0:
-            p_sum += contrib if (k // 2) % 2 == 0 else -contrib
-        else:
-            q_sum += contrib if ((k + 1) // 2) % 2 == 0 else -contrib
-        t = np.where(active, t_next, t)
-    chi = ax - 0.25 * np.pi
-    amp = np.sqrt(2.0 / (np.pi * ax))
-    return amp * (p_sum * np.cos(chi) - q_sum * np.sin(chi))

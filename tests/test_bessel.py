@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dpskdiv import bessel_j0
-from dpskdiv.special import _j0_array
 
 
 def j0_oracle(x):
@@ -66,16 +65,6 @@ def test_crossover_continuity():
     # both evaluation regimes must agree near the series/asymptotic switch
     for x in np.linspace(11.5, 12.5, 101):
         assert abs(bessel_j0(x) - j0_oracle(x)) < 1e-12
-
-
-def test_array_variant_matches_scalar():
-    xs = np.concatenate([
-        np.linspace(0.0, 12.0, 400),
-        np.linspace(12.0, 50.0, 400),
-    ])
-    vec = _j0_array(xs)
-    scal = np.array([bessel_j0(x) for x in xs])
-    assert np.max(np.abs(vec - scal)) < 5e-12
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,7 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
+
+import dpskdiv
 
 from dpskdiv.cli import CSV_HEADER, format_row, main, parse_rows
 
@@ -223,10 +228,18 @@ def test_doppler_rho_constant_table(capsys, tmp_path):
 def test_doppler_rho_kinked_table_exit_code(capsys, tmp_path):
     table = tmp_path / "kink.txt"
     table.write_text("0 1\n0.5 1\n0.6 0.2\n2 0.2\n")
-    code, _, err = run_cli(capsys, "doppler-rho", "--spectrum", "tabulated",
+    code, out, _ = run_cli(capsys, "doppler-rho", "--spectrum", "tabulated",
                            "--table", str(table))
+    assert code == 0
+    assert abs(float(out) - 241.0 / 628.0) < 1e-11
+
+
+def test_doppler_rho_extreme_fdt_exit_code(capsys):
+    code, out, err = run_cli(capsys, "doppler-rho", "--spectrum", "rectangular",
+                             "--fdt", "200")
     assert code == 3
-    assert "error" in err
+    assert out == ""
+    assert "not converged" in err
 
 
 def test_doppler_rho_missing_table(capsys):
@@ -321,3 +334,36 @@ def test_probability_format_has_ten_significant_digits(capsys):
     field = out.strip().splitlines()[1].split(",")[4]
     mantissa, _, _ = field.partition("e")
     assert len(mantissa.replace(".", "").lstrip("-")) == 10
+
+
+# ------------------------------------------------------------------ imports
+
+NUMPY_FREE_SCRIPT = """
+import contextlib, io, sys
+from dpskdiv.cli import main
+argvs = [
+    ["bep", "--gamma-b-db", "15", "--eta", "0.1", "--rho", "0.975"],
+    ["sweep", "--gamma-b-db-range", "0:10:5", "--eta", "0.1", "--rho", "0.975"],
+    ["reproduce-fig", "--figure", "1"],
+    ["doppler-rho", "--spectrum", "jakes", "--fdt", "0.05"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in argvs]
+assert codes == [0, 0, 0, 0], codes
+assert "numpy" not in sys.modules, "a closed-form command imported numpy"
+import dpskdiv
+assert set(dpskdiv.__all__) <= set(dir(dpskdiv))
+assert "numpy" not in sys.modules, "dir(dpskdiv) imported numpy"
+assert dpskdiv.simulate.TRIALS_PER_BATCH > 0
+from dpskdiv import estimate_bep
+assert callable(estimate_bep)
+"""
+
+
+def test_closed_form_commands_do_not_import_numpy():
+    # a fresh interpreter, so no other test has imported numpy already
+    src = os.path.dirname(os.path.dirname(dpskdiv.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", NUMPY_FREE_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
