@@ -262,6 +262,33 @@ def test_estimate_early_stop():
     assert est.ci95_halfwidth < 0.5 * est.p_hat
 
 
+GOLDEN_BRANCHES = {
+    1: [(0.975, 10.0)],
+    2: [(0.975, 3.162), (0.9, 28.46)],
+    4: [(0.9, 2.0), (0.95, 10.0), (0.975, 100.0), (0.99, 900.0)],
+}
+# errors for (L, detector, trials) at seed 2024 + L; 200 000 trials end
+# mid-batch and 262 144 = 2 * 2**17 end on a batch boundary
+GOLDEN_ERRORS = {
+    (1, Detector.OPTIMUM, 200_000): 11358, (1, Detector.OPTIMUM, 262_144): 14805,
+    (1, Detector.SUBOPTIMUM, 200_000): 11358, (1, Detector.SUBOPTIMUM, 262_144): 14805,
+    (2, Detector.OPTIMUM, 200_000): 4832, (2, Detector.OPTIMUM, 262_144): 6242,
+    (2, Detector.SUBOPTIMUM, 200_000): 6141, (2, Detector.SUBOPTIMUM, 262_144): 7965,
+    (4, Detector.OPTIMUM, 200_000): 11, (4, Detector.OPTIMUM, 262_144): 19,
+    (4, Detector.SUBOPTIMUM, 200_000): 27, (4, Detector.SUBOPTIMUM, 262_144): 34,
+}
+
+
+@pytest.mark.parametrize("l, det, trials", sorted(GOLDEN_ERRORS, key=str))
+def test_estimate_golden_stream(l, det, trials):
+    # pins the random stream: a kernel change that alters the draw order or
+    # the arithmetic of the channel changes these counts
+    cfg = DiversityConfig(tuple(BranchParams(r, g) for r, g in GOLDEN_BRANCHES[l]), det)
+    est = estimate_bep(cfg, trials, seed=2024 + l)
+    assert est.trials == trials
+    assert est.errors == GOLDEN_ERRORS[(l, det, trials)]
+
+
 def test_estimate_invalid_arguments():
     cfg = DiversityConfig((BranchParams(0.9, 2.0),), Detector.OPTIMUM)
     with pytest.raises(ConfigError):
