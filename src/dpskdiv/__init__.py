@@ -9,7 +9,6 @@ import importlib
 
 from .bep import (
     ChernoffResult,
-    DecisionStatistics,
     chernoff_optimum,
     chernoff_suboptimum,
     exact_bep,
@@ -36,27 +35,18 @@ __all__ = [
     "ChernoffResult",
     "ConfigError",
     "ConvergenceError",
-    "DecisionStatistics",
     "Detector",
     "DiversityConfig",
     "DopplerSpec",
-    "FadingPair",
-    "Observation",
-    "SimScale",
     "SpectrumKind",
     "bessel_j0",
     "chernoff_optimum",
     "chernoff_suboptimum",
-    "decide",
-    "decision_statistics",
     "estimate_bep",
     "exact_bep",
-    "loglik_metric",
-    "make_observation",
     "optimum_weights",
     "power_split",
     "rho_from_doppler",
-    "sample_fading_pair",
     "validate_config",
 ]
 

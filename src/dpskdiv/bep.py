@@ -41,19 +41,6 @@ class ChernoffResult:
     improved: bool
 
 
-@dataclass(frozen=True)
-class DecisionStatistics:
-    """The two nonnegative halves of the decision variable.
-
-    x - y equals the combiner output Re[sum_i w_i z_curr_i conj(z_prev_i)],
-    using x = sum_i w_i |z_curr_i + z_prev_i|^2 / 4 and
-    y = sum_i w_i |z_curr_i - z_prev_i|^2 / 4.
-    """
-
-    x: float
-    y: float
-
-
 def optimum_weights(branches: Sequence[BranchParams]) -> List[float]:
     """Likelihood-ratio combining weights w_i = rho_i gamma_i / [(1+gamma_i)^2 - (rho_i gamma_i)^2]."""
     validate_branches(branches)
@@ -115,6 +102,17 @@ def exact_bep(cfg: DiversityConfig) -> float:
     return _phase_race(sorted(alphas), sorted(betas))
 
 
+def db_to_linear(db: float) -> float:
+    """10^(db/10), the one dB-to-linear conversion of the package.
+
+    A value whose linear form overflows a float is a ConfigError.
+    """
+    try:
+        return 10.0 ** (db / 10.0)
+    except OverflowError:
+        raise ConfigError(f"{db} dB overflows a float") from None
+
+
 def power_split(gamma_b_db: float, eta: float) -> Tuple[float, float]:
     """Split a total SNR per bit (in dB) across two branches.
 
@@ -124,7 +122,7 @@ def power_split(gamma_b_db: float, eta: float) -> Tuple[float, float]:
         raise ConfigError(f"eta={eta} must lie strictly inside (0, 1)")
     if not math.isfinite(gamma_b_db):
         raise ConfigError(f"gamma_b_db={gamma_b_db} must be finite")
-    total = 10.0 ** (gamma_b_db / 10.0)
+    total = db_to_linear(gamma_b_db)
     return eta * total, (1.0 - eta) * total
 
 

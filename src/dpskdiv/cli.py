@@ -6,8 +6,9 @@ reproduce-fig (canned figure-data grids).  CSV goes to standard output,
 diagnostics to standard error.  Exit codes: 0 success, 2 configuration
 error, 3 numerical non-convergence (the rho quadrature at extreme fdT).
 
-dB-to-linear conversion happens here and nowhere else; the library works in
-linear SNR throughout.
+dB values are converted to linear SNR by bep.db_to_linear, here and in
+bep.power_split, which takes the total SNR in dB; the rest of the library
+works in linear SNR throughout.
 
 Options for a subcommand may come from a flat key = value config file
 (--config FILE, '#' comments allowed, keys spelled like the long flags with
@@ -23,7 +24,7 @@ import sys
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .bep import chernoff_optimum, chernoff_suboptimum, exact_bep, power_split
+from .bep import chernoff_optimum, chernoff_suboptimum, db_to_linear, exact_bep, power_split
 from .channel import (
     BranchParams,
     DEFAULT_QUAD_ORDER,
@@ -37,7 +38,6 @@ from .errors import ConfigError, ConvergenceError
 
 CSV_HEADER = "gamma_b_db,eta,rho,detector,exact_bep,bound,mc_p_hat,mc_ci,trials,seed"
 WORKERS_ENV = "DPSKDIV_WORKERS"
-_MASK64 = (1 << 64) - 1
 
 _OUTPUT_CHOICES = ("exact", "chernoff", "chernoff_improved", "mc")
 
@@ -154,7 +154,11 @@ def _grid_values(start: float, stop: float, step: float) -> List[float]:
         raise ConfigError(f"step={step} must be positive")
     if stop < start:
         raise ConfigError("empty range: stop is below start")
-    n = int(math.floor((stop - start) / step + 1e-9)) + 1
+    span = (stop - start) / step
+    # also false for a non-finite start or stop
+    if not math.isfinite(span):
+        raise ConfigError(f"range {start}:{stop}:{step} must have finite ends and span")
+    n = int(math.floor(span + 1e-9)) + 1
     return [start + k * step for k in range(n)]
 
 
@@ -187,8 +191,7 @@ def sweep_rows(spec: SweepSpec) -> List[ResultRow]:
                     bound = _bound_for(cfg, outputs)
                     mc_p = mc_ci = trials = seed = None
                     if "mc" in outputs:
-                        row_seed = (spec.seed + index) & _MASK64
-                        est = estimate_bep(cfg, spec.mc_trials, row_seed,
+                        est = estimate_bep(cfg, spec.mc_trials, spec.seed + index,
                                            workers=spec.workers,
                                            stop_rel_tol=spec.stop_rel_tol)
                         mc_p, mc_ci = est.p_hat, est.ci95_halfwidth
@@ -323,7 +326,7 @@ def _branches_from_options(res: _Resolver) -> Tuple[DiversityConfig, Optional[fl
     if (gamma_db_list is None) == (gamma_b_db is None):
         raise ConfigError("pass either --gamma-db (per branch) or --gamma-b-db with --eta")
     if gamma_db_list is not None:
-        gammas = [10.0 ** (db / 10.0) for db in gamma_db_list]
+        gammas = [db_to_linear(db) for db in gamma_db_list]
         total_db = 10.0 * math.log10(sum(gammas)) if sum(gammas) > 0 else None
         eta_out = None
     else:

@@ -5,6 +5,13 @@ matched-filter outputs; the detectors only ever see the (previous, current)
 joint statistics, so no full time series is needed.  The Doppler spectrum
 enters solely through rho, computed by the channel module.
 
+observe is the one channel model: it maps pre-drawn standard normals to
+matched-filter outputs, and decide is the sign detector.  The batch kernel
+runs exactly these two functions, so the tests that check the fading
+correlation, the noise power and the detector check the code that
+estimate_bep runs.  loglik_metric is the maximum-likelihood reference the
+sign detector is tested against; the kernel never calls it.
+
 Reproducibility contract
 ------------------------
 Trials are split into fixed-size batches of TRIALS_PER_BATCH.  Batch b is
@@ -20,45 +27,17 @@ therefore the estimates; it is a contract constant, not a tuning knob.
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
-from .bep import DecisionStatistics, optimum_weights
-from .channel import BranchParams, Detector, DiversityConfig, validate_config
+from .bep import optimum_weights
+from .channel import Detector, DiversityConfig, validate_config
 from .errors import ConfigError
 
 TRIALS_PER_BATCH = 1 << 17
 _MASK64 = (1 << 64) - 1
 _MIN_ERRORS_FOR_STOP = 100
-
-
-@dataclass(frozen=True)
-class SimScale:
-    """Energy and noise scale of the simulation.
-
-    Defaults pin eb = n0 = 1; the library's gamma values assume these, and
-    the per-branch fading power r0 = gamma/2 keeps gamma = 2*eb*r0/n0.
-    Overriding n0 (e.g. to 0 for noiseless checks) rescales the noise only.
-    """
-
-    eb: float = 1.0
-    n0: float = 1.0
-
-    def r0(self, branch: BranchParams) -> float:
-        return 0.5 * branch.gamma
-
-
-@dataclass(frozen=True)
-class FadingPair:
-    a_prev: complex
-    a_curr: complex
-
-
-@dataclass(frozen=True)
-class Observation:
-    z_prev: complex
-    z_curr: complex
 
 
 @dataclass(frozen=True)
@@ -82,99 +61,55 @@ def _normals(u: np.ndarray) -> np.ndarray:
     return out
 
 
-def sample_fading_pair(branch: BranchParams, scale: SimScale, rng: np.random.Generator,
-                       size: Optional[int] = None) -> FadingPair:
-    """Draw matched-filter fading gains for two adjacent bits.
+def observe(g: np.ndarray, rho, r0, rot):
+    """Matched-filter outputs (z_prev, z_curr) of two adjacent bits.
 
-    a_curr = rho * a_prev + sqrt(1 - rho^2) * g with g independent and
-    identically scaled, which realizes exactly the pairwise covariance the
-    error probability depends on.  With size=None the fields are scalars;
-    otherwise length-size arrays.
+    g is a (..., L, 8) block of standard normals; rho and r0 = gamma/2 are
+    per-branch and rot = +1 or -1 is the data phase (0 or pi), all
+    broadcasting against (..., L).  Columns 0:4 give the fading pair,
+    a_curr = rho a_prev + sqrt(1 - rho^2) innovation, each of power 2 r0;
+    columns 4:8 give the noise, so z_prev = a_prev + n_prev and
+    z_curr = rot a_curr + n_curr with eb = n0 = 1.
     """
-    shape = () if size is None else (int(size),)
-    g = _normals(rng.random(shape + (4,)))
-    sd = math.sqrt(scale.r0(branch))
+    sd = np.sqrt(r0)
     a_prev = sd * (g[..., 0] + 1j * g[..., 1])
-    innov = sd * (g[..., 2] + 1j * g[..., 3])
-    a_curr = branch.rho * a_prev + math.sqrt(1.0 - branch.rho ** 2) * innov
-    if size is None:
-        return FadingPair(complex(a_prev), complex(a_curr))
-    return FadingPair(a_prev, a_curr)
+    a_curr = rho * a_prev + np.sqrt(1.0 - rho ** 2) * sd * (g[..., 2] + 1j * g[..., 3])
+    nsd = math.sqrt(0.5)
+    z_prev = a_prev + nsd * (g[..., 4] + 1j * g[..., 5])
+    z_curr = rot * a_curr + nsd * (g[..., 6] + 1j * g[..., 7])
+    return z_prev, z_curr
 
 
-def make_observation(pair: FadingPair, delta_phi: float, scale: SimScale,
-                     rng: np.random.Generator) -> Observation:
-    """Matched-filter outputs for the two bits, phase difference 0 or pi."""
-    if delta_phi == 0.0:
-        rot = 1.0
-    elif delta_phi == math.pi:
-        rot = -1.0
-    else:
-        raise ConfigError(f"delta_phi must be 0 or pi, got {delta_phi}")
-    shape = np.shape(pair.a_prev)
-    g = _normals(rng.random(shape + (4,)))
-    nsd = math.sqrt(scale.n0 / 2.0)
-    seb = math.sqrt(scale.eb)
-    z_prev = seb * pair.a_prev + nsd * (g[..., 0] + 1j * g[..., 1])
-    z_curr = seb * rot * pair.a_curr + nsd * (g[..., 2] + 1j * g[..., 3])
-    if shape == ():
-        return Observation(complex(z_prev), complex(z_curr))
-    return Observation(z_prev, z_curr)
-
-
-def decide(obs: Sequence[Observation], weights: Sequence[float]) -> int:
-    """Sign detector: 0 if Re[sum w_i z_curr conj(z_prev)] >= 0, else 1.
+def decide(z_prev: np.ndarray, z_curr: np.ndarray, weights) -> np.ndarray:
+    """Sign detector over (..., L) outputs: True (bit 1) where
+    Re[sum_i w_i z_curr_i conj(z_prev_i)] < 0.
 
     An exactly zero statistic decides 0 (measure-zero tie, fixed for
     determinism).
     """
-    if len(obs) != len(weights):
-        raise ConfigError("observation/weight length mismatch")
-    stat = math.fsum(w * (ob.z_curr * ob.z_prev.conjugate()).real
-                     for ob, w in zip(obs, weights))
-    return 1 if stat < 0.0 else 0
+    stat = (z_curr * np.conj(z_prev)).real @ weights
+    return stat < 0.0
 
 
-def decision_statistics(obs: Sequence[Observation], weights: Sequence[float]) -> DecisionStatistics:
-    """Split the combiner output into its two nonnegative halves x - y."""
-    if len(obs) != len(weights):
-        raise ConfigError("observation/weight length mismatch")
-    x = math.fsum(w * abs(ob.z_curr + ob.z_prev) ** 2 / 4.0 for ob, w in zip(obs, weights))
-    y = math.fsum(w * abs(ob.z_curr - ob.z_prev) ** 2 / 4.0 for ob, w in zip(obs, weights))
-    return DecisionStatistics(x=x, y=y)
+def loglik_metric(z_prev: np.ndarray, z_curr: np.ndarray, rho, r0, m: int):
+    """Log-likelihood of (..., L) outputs under phase difference pi*m.
 
-
-def loglik_metric(obs: Sequence[Observation], branches: Sequence[BranchParams],
-                  scale: SimScale, m: int):
-    """Log-likelihood of the observations under phase difference pi*m.
-
-    Sums, per branch, the log density of z_curr conditioned on z_prev (a
-    complex Gaussian whose mean is proportional to z_prev rotated by the
-    hypothesis) plus the marginal log density of z_prev; the hypothesis-
-    independent constant is dropped.  Broadcasts over array-valued fields.
+    Sums over the last axis, per branch, the log density of z_curr
+    conditioned on z_prev (a complex Gaussian whose mean is proportional to
+    z_prev rotated by the hypothesis) plus the marginal log density of
+    z_prev, with eb = n0 = 1; the hypothesis-independent constant is
+    dropped.
     """
     if m not in (0, 1):
         raise ConfigError(f"hypothesis m must be 0 or 1, got {m}")
-    if len(obs) != len(branches):
-        raise ConfigError("observation/branch length mismatch")
     sign = 1.0 if m == 0 else -1.0
-    eb = scale.eb
-    n0 = scale.n0
-    acc = 0.0
-    for ob, br in zip(obs, branches):
-        r0 = scale.r0(br)
-        r1 = br.rho * r0
-        s2 = 2.0 * eb * r0 + n0
-        mean_coef = 2.0 * r1 * eb / s2
-        var_c = s2 - (2.0 * eb * r1) ** 2 / s2
-        diff = ob.z_curr - sign * mean_coef * ob.z_prev
-        acc = acc + (
-            -np.log(np.pi * var_c) - np.abs(diff) ** 2 / var_c
-            - np.log(np.pi * s2) - np.abs(ob.z_prev) ** 2 / s2
-        )
-    if np.ndim(acc) == 0:
-        return float(acc)
-    return acc
+    r1 = rho * r0
+    s2 = 2.0 * r0 + 1.0
+    mean_coef = 2.0 * r1 / s2
+    var_c = s2 - (2.0 * r1) ** 2 / s2
+    diff = z_curr - sign * mean_coef * z_prev
+    return np.sum(-np.log(np.pi * var_c) - np.abs(diff) ** 2 / var_c
+                  - np.log(np.pi * s2) - np.abs(z_prev) ** 2 / s2, axis=-1)
 
 
 def _detector_weights(cfg: DiversityConfig) -> np.ndarray:
@@ -188,20 +123,11 @@ def _batch_rng(seed: int, batch: int) -> np.random.Generator:
 
 
 def _count_errors(rng: np.random.Generator, n: int, rho: np.ndarray, r0: np.ndarray,
-                  weights: np.ndarray, scale: SimScale) -> int:
+                  weights: np.ndarray) -> int:
     bits = rng.random(n) < 0.5
     g = _normals(rng.random((n, len(rho), 8)))
-    sd = np.sqrt(r0)
-    a_prev = sd * (g[..., 0] + 1j * g[..., 1])
-    a_curr = rho * a_prev + np.sqrt(1.0 - rho ** 2) * sd * (g[..., 2] + 1j * g[..., 3])
-    nsd = math.sqrt(scale.n0 / 2.0)
-    seb = math.sqrt(scale.eb)
-    z_prev = seb * a_prev + nsd * (g[..., 4] + 1j * g[..., 5])
-    rot = np.where(bits, -1.0, 1.0)[:, None]
-    z_curr = seb * rot * a_curr + nsd * (g[..., 6] + 1j * g[..., 7])
-    stat = (z_curr * np.conj(z_prev)).real @ weights
-    detected = stat < 0.0
-    return int(np.count_nonzero(detected != bits))
+    z_prev, z_curr = observe(g, rho, r0, np.where(bits, -1.0, 1.0)[:, None])
+    return int(np.count_nonzero(decide(z_prev, z_curr, weights) != bits))
 
 
 def estimate_bep(cfg: DiversityConfig, trials: int, seed: int, workers: int = 1,
@@ -226,13 +152,12 @@ def estimate_bep(cfg: DiversityConfig, trials: int, seed: int, workers: int = 1,
     rho = np.array([br.rho for br in cfg.branches])
     r0 = np.array([0.5 * br.gamma for br in cfg.branches])
     weights = _detector_weights(cfg)
-    scale = SimScale()
 
     n_batches = (trials + TRIALS_PER_BATCH - 1) // TRIALS_PER_BATCH
 
     def run_batch(b: int) -> int:
         size = min(TRIALS_PER_BATCH, trials - b * TRIALS_PER_BATCH)
-        return _count_errors(_batch_rng(seed, b), size, rho, r0, weights, scale)
+        return _count_errors(_batch_rng(seed, b), size, rho, r0, weights)
 
     errors = 0
     done = 0

@@ -14,21 +14,17 @@ from dpskdiv import (
     Detector,
     DiversityConfig,
     DopplerSpec,
-    FadingPair,
-    SimScale,
     SpectrumKind,
     chernoff_optimum,
     chernoff_suboptimum,
     estimate_bep,
     exact_bep,
-    loglik_metric,
-    make_observation,
     optimum_weights,
     power_split,
     rho_from_doppler,
-    sample_fading_pair,
 )
 from dpskdiv.cli import main as cli_main
+from dpskdiv.simulate import _normals, decide, loglik_metric, observe
 
 import bep_oracle as oracle
 
@@ -164,23 +160,17 @@ def test_single_branch_closed_form(capsys):
 def test_detector_decision_equivalence(capsys):
     branches = [BranchParams(0.975, 3.162), BranchParams(0.9, 28.46)]
     weights = optimum_weights(branches)
-    scale = SimScale()
+    rho = np.array([br.rho for br in branches])
+    r0 = np.array([0.5 * br.gamma for br in branches])
     n = 10**5
     rng = np.random.default_rng(21)
     bits = rng.random(n) < 0.5
-    flip = np.where(bits, -1.0, 1.0)
-    obs = []
-    for br in branches:
-        pair = sample_fading_pair(br, scale, rng, size=n)
-        rotated = FadingPair(pair.a_prev, flip * pair.a_curr)
-        obs.append(make_observation(rotated, 0.0, scale, rng))
-    m0 = loglik_metric(obs, branches, scale, 0)
-    m1 = loglik_metric(obs, branches, scale, 1)
-    ll = np.where(m1 > m0, 1, 0)
-    stat = sum(w * (o.z_curr * np.conj(o.z_prev)).real
-               for o, w in zip(obs, weights))
-    sign = np.where(stat < 0.0, 1, 0)
-    mismatches = int(np.sum(ll != sign))
+    g = _normals(rng.random((n, len(branches), 8)))
+    z_prev, z_curr = observe(g, rho, r0, np.where(bits, -1.0, 1.0)[:, None])
+    m0 = loglik_metric(z_prev, z_curr, rho, r0, 0)
+    m1 = loglik_metric(z_prev, z_curr, rho, r0, 1)
+    sign = decide(z_prev, z_curr, weights)
+    mismatches = int(np.sum((m1 > m0) != sign))
     _report(capsys, "detector decision equivalence", mismatches == 0,
             f"{mismatches} mismatches over {n} trials")
 

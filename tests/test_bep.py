@@ -280,6 +280,12 @@ def test_power_split_thirty_db():
     assert abs(g2 - 900.0) < 1e-9
 
 
+def test_power_split_overflow_is_config_error():
+    # 10^400 overflows a float
+    with pytest.raises(ConfigError):
+        power_split(4000.0, 0.1)
+
+
 @pytest.mark.parametrize("eta", [0.0, 1.0, -0.2, 1.3, math.nan])
 def test_power_split_eta_domain(eta):
     with pytest.raises(ConfigError):

@@ -131,6 +131,26 @@ def test_sweep_empty_range_is_config_error(capsys):
     assert "empty range" in err
 
 
+def test_out_of_range_db_is_config_error(capsys):
+    # a dB value that overflows a float, or a grid with a non-finite end or
+    # span, is a configuration error, not a traceback
+    argvs = [
+        ["bep", "--gamma-db", "4000", "--rho", "0.9"],
+        ["bep", "--gamma-b-db", "4000", "--eta", "0.1", "--rho", "0.9"],
+        ["sweep", "--gamma-b-db-range=0:inf:1", "--eta", "0.1", "--rho", "0.9"],
+        ["sweep", "--gamma-b-db-range=-inf:30:1", "--eta", "0.1", "--rho", "0.9"],
+        ["sweep", "--gamma-b-db-range=0:nan:1", "--eta", "0.1", "--rho", "0.9"],
+        ["sweep", "--gamma-b-db-range=-1e308:1e308:1e307", "--eta", "0.1", "--rho", "0.9"],
+        ["simulate", "--gamma-b-db-range=0:nan:1", "--eta", "0.1", "--rho", "0.9",
+         "--trials", "10"],
+    ]
+    for argv in argvs:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert err.startswith("error: "), argv
+
+
 def test_sweep_rejects_both_bound_variants(capsys):
     code, _, _ = run_cli(capsys, "sweep", "--gamma-b-db-range", "0:5:5",
                          "--eta", "0.1", "--rho", "0.975",
@@ -352,8 +372,10 @@ with contextlib.redirect_stdout(io.StringIO()):
 assert codes == [0, 0, 0, 0], codes
 assert "numpy" not in sys.modules, "a closed-form command imported numpy"
 import dpskdiv
-assert set(dpskdiv.__all__) <= set(dir(dpskdiv))
+dir(dpskdiv)
 assert "numpy" not in sys.modules, "dir(dpskdiv) imported numpy"
+for name in dpskdiv.__all__:
+    getattr(dpskdiv, name)  # every exported name resolves
 assert dpskdiv.simulate.TRIALS_PER_BATCH > 0
 from dpskdiv import estimate_bep
 assert callable(estimate_bep)

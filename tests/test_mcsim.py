@@ -8,97 +8,94 @@ from dpskdiv import (
     ConfigError,
     Detector,
     DiversityConfig,
-    SimScale,
-    decide,
-    decision_statistics,
     estimate_bep,
     exact_bep,
-    loglik_metric,
-    make_observation,
     optimum_weights,
-    power_split,
-    sample_fading_pair,
 )
-from dpskdiv.simulate import FadingPair, Observation
-
-SCALE = SimScale()
+from dpskdiv.simulate import _normals, decide, loglik_metric, observe
 
 
-def rng_of(seed):
-    return np.random.default_rng(seed)
+def normals(seed, n, l=1):
+    """The kernel's (n, L, 8) block of standard normals."""
+    return _normals(np.random.default_rng(seed).random((n, l, 8)))
+
+
+def fading(seed, n, br):
+    """(a_prev, a_curr) of one branch: observe with the noise columns zeroed."""
+    g = normals(seed, n)
+    g[..., 4:8] = 0.0
+    z_prev, z_curr = observe(g, br.rho, 0.5 * br.gamma, 1.0)
+    return z_prev[:, 0], z_curr[:, 0]
+
+
+def decide_one(pairs, weights):
+    """decide on one trial given as a list of (z_prev, z_curr) per branch."""
+    z_prev, z_curr = (np.array([[p[k] for p in pairs]]) for k in (0, 1))
+    return int(decide(z_prev, z_curr, weights)[0])
 
 
 # ----------------------------------------------------------------- fading
 
 
 def test_fully_correlated_pair_is_identical():
-    pair = sample_fading_pair(BranchParams(1.0, 8.0), SCALE, rng_of(3), size=1000)
-    assert np.array_equal(pair.a_prev, pair.a_curr)
+    a_prev, a_curr = fading(3, 1000, BranchParams(1.0, 8.0))
+    assert np.array_equal(a_prev, a_curr)
 
 
 def test_uncorrelated_pair_empirical_correlation():
-    pair = sample_fading_pair(BranchParams(0.0, 8.0), SCALE, rng_of(4), size=10**6)
-    r0 = SCALE.r0(BranchParams(0.0, 8.0))
-    corr = 0.5 * np.mean(pair.a_curr * np.conj(pair.a_prev)) / r0
+    br = BranchParams(0.0, 8.0)
+    a_prev, a_curr = fading(4, 10**6, br)
+    corr = 0.5 * np.mean(a_curr * np.conj(a_prev)) / (0.5 * br.gamma)
     assert abs(corr) < 0.005
 
 
 def test_partially_correlated_pair_empirical_correlation():
     br = BranchParams(0.975, 8.0)
-    pair = sample_fading_pair(br, SCALE, rng_of(5), size=10**6)
-    corr = 0.5 * np.mean(pair.a_curr * np.conj(pair.a_prev)) / SCALE.r0(br)
+    a_prev, a_curr = fading(5, 10**6, br)
+    corr = 0.5 * np.mean(a_curr * np.conj(a_prev)) / (0.5 * br.gamma)
     assert abs(corr.real - 0.975) < 0.003
     assert abs(corr.imag) < 0.003
 
 
 def test_fading_power():
     br = BranchParams(0.9, 12.0)
-    pair = sample_fading_pair(br, SCALE, rng_of(6), size=10**6)
-    for a in (pair.a_prev, pair.a_curr):
-        assert abs(np.mean(np.abs(a) ** 2) / (2 * SCALE.r0(br)) - 1.0) < 0.01
-
-
-def test_scalar_pair_is_scalar():
-    pair = sample_fading_pair(BranchParams(0.5, 2.0), SCALE, rng_of(7))
-    assert isinstance(pair.a_prev, complex) and isinstance(pair.a_curr, complex)
+    for a in fading(6, 10**6, br):
+        assert abs(np.mean(np.abs(a) ** 2) / br.gamma - 1.0) < 0.01
 
 
 # ------------------------------------------------------------ observations
 
 
 def test_noiseless_zero_phase():
-    silent = SimScale(n0=0.0)
-    br = BranchParams(1.0, 8.0)
-    pair = sample_fading_pair(br, silent, rng_of(8), size=100)
-    obs = make_observation(pair, 0.0, silent, rng_of(9))
-    assert np.array_equal(obs.z_prev, obs.z_curr)
+    g = normals(8, 100)
+    g[..., 4:8] = 0.0
+    z_prev, z_curr = observe(g, 1.0, 4.0, 1.0)
+    assert np.array_equal(z_prev, z_curr)
 
 
 def test_noiseless_pi_phase_flips_sign():
-    silent = SimScale(n0=0.0)
-    br = BranchParams(1.0, 8.0)
-    pair = sample_fading_pair(br, silent, rng_of(10), size=100)
-    obs = make_observation(pair, math.pi, silent, rng_of(11))
-    assert np.allclose(obs.z_curr, -obs.z_prev)
+    g = normals(10, 100)
+    g[..., 4:8] = 0.0
+    z_prev, z_curr = observe(g, 1.0, 4.0, -1.0)
+    assert np.array_equal(z_curr, -z_prev)
 
 
 def test_observation_power():
     br = BranchParams(0.9, 6.0)
-    pair = sample_fading_pair(br, SCALE, rng_of(12), size=10**6)
-    obs = make_observation(pair, 0.0, SCALE, rng_of(13))
-    expect = 2.0 * SCALE.r0(br) + 1.0
-    for z in (obs.z_prev, obs.z_curr):
+    r0 = 0.5 * br.gamma
+    z_prev, z_curr = observe(normals(12, 10**6), br.rho, r0, 1.0)
+    expect = 2.0 * r0 + 1.0
+    for z in (z_prev, z_curr):
         assert abs(np.mean(np.abs(z) ** 2) / expect - 1.0) < 0.01
 
 
 def test_sum_difference_orthogonality_and_variances():
     br = BranchParams(0.975, 6.0)
     n = 10**6
-    pair = sample_fading_pair(br, SCALE, rng_of(14), size=n)
-    obs = make_observation(pair, 0.0, SCALE, rng_of(15))
-    s = obs.z_curr + obs.z_prev
-    d = obs.z_curr - obs.z_prev
-    r0 = SCALE.r0(br)
+    r0 = 0.5 * br.gamma
+    z_prev, z_curr = observe(normals(14, n), br.rho, r0, 1.0)
+    s = z_curr + z_prev
+    d = z_curr - z_prev
     r1 = br.rho * r0
     var_s = 4.0 * r0 + 4.0 * r1 + 2.0
     var_d = 4.0 * r0 - 4.0 * r1 + 2.0
@@ -109,56 +106,33 @@ def test_sum_difference_orthogonality_and_variances():
     assert abs(cross) < 4.0 * math.sqrt(var_s * var_d / n)
 
 
-def test_bad_phase_rejected():
-    pair = sample_fading_pair(BranchParams(0.5, 1.0), SCALE, rng_of(16))
-    with pytest.raises(ConfigError):
-        make_observation(pair, 0.5, SCALE, rng_of(17))
-
-
 # ----------------------------------------------------------------- decide
 
 
 def test_decide_positive_statistic():
-    assert decide([Observation(1 + 0j, 1 + 0j)], [1.0]) == 0
+    assert decide_one([(1 + 0j, 1 + 0j)], [1.0]) == 0
 
 
 def test_decide_negative_statistic():
-    assert decide([Observation(1 + 2j, -1 - 2j)], [1.0]) == 1
+    assert decide_one([(1 + 2j, -1 - 2j)], [1.0]) == 1
 
 
 def test_decide_weighted_hand_case():
-    obs = [Observation(1 + 0j, 1 + 0j), Observation(1 + 0j, -1.9 + 0j)]
-    assert decide(obs, [2.0, 1.0]) == 0
+    assert decide_one([(1 + 0j, 1 + 0j), (1 + 0j, -1.9 + 0j)], [2.0, 1.0]) == 0
 
 
 def test_decide_tie_goes_to_zero():
-    assert decide([Observation(0j, 0j)], [1.0]) == 0
-
-
-def test_decide_length_mismatch():
-    with pytest.raises(ConfigError):
-        decide([Observation(1j, 1j)], [1.0, 2.0])
-
-
-def test_decision_statistics_split():
-    obs = [Observation(0.3 - 1.1j, -0.7 + 0.4j), Observation(1.0 + 0j, 0.5 + 0.5j)]
-    w = [1.7, 0.6]
-    ds = decision_statistics(obs, w)
-    assert ds.x >= 0.0 and ds.y >= 0.0
-    stat = sum(wi * (o.z_curr * o.z_prev.conjugate()).real for o, wi in zip(obs, w))
-    assert abs((ds.x - ds.y) - stat) < 1e-12
+    assert decide_one([(0j, 0j)], [1.0]) == 0
 
 
 def test_decision_statistics_moments():
     # E[x_i] = alpha_i / 2 and E[y_i] = beta_i / 2 under optimum weights,
     # alpha = rho gamma / (1 + gamma - rho gamma), beta = rho gamma / (1 + gamma + rho gamma)
     br = BranchParams(0.975, 10.0)
-    n = 10**6
-    pair = sample_fading_pair(br, SCALE, rng_of(18), size=n)
-    obs = make_observation(pair, 0.0, SCALE, rng_of(19))
+    z_prev, z_curr = observe(normals(18, 10**6), br.rho, 0.5 * br.gamma, 1.0)
     (w,) = optimum_weights([br])
-    x = w * np.abs(obs.z_curr + obs.z_prev) ** 2 / 4.0
-    y = w * np.abs(obs.z_curr - obs.z_prev) ** 2 / 4.0
+    x = w * np.abs(z_curr + z_prev) ** 2 / 4.0
+    y = w * np.abs(z_curr - z_prev) ** 2 / 4.0
     rg = br.rho * br.gamma
     alpha = rg / (1.0 + br.gamma - rg)
     beta = rg / (1.0 + br.gamma + rg)
@@ -170,44 +144,35 @@ def test_decision_statistics_moments():
 
 
 def test_loglik_indifferent_when_uncorrelated():
-    branches = [BranchParams(0.0, 5.0), BranchParams(0.0, 9.0)]
-    obs = [Observation(0.4 + 0.2j, -1.0 + 0.3j), Observation(-0.1 + 1j, 0.8 - 0.5j)]
-    m0 = loglik_metric(obs, branches, SCALE, 0)
-    m1 = loglik_metric(obs, branches, SCALE, 1)
-    assert m0 == m1
+    z_prev = np.array([0.4 + 0.2j, -0.1 + 1j])
+    z_curr = np.array([-1.0 + 0.3j, 0.8 - 0.5j])
+    rho, r0 = np.zeros(2), np.array([2.5, 4.5])
+    assert loglik_metric(z_prev, z_curr, rho, r0, 0) == loglik_metric(z_prev, z_curr, rho, r0, 1)
 
 
 def test_loglik_indifferent_when_reference_is_zero():
-    branches = [BranchParams(0.9, 5.0)]
-    obs = [Observation(0j, 0.7 - 0.2j)]
-    assert loglik_metric(obs, branches, SCALE, 0) == loglik_metric(obs, branches, SCALE, 1)
+    z_prev, z_curr = np.array([0j]), np.array([0.7 - 0.2j])
+    assert loglik_metric(z_prev, z_curr, 0.9, 2.5, 0) == loglik_metric(z_prev, z_curr, 0.9, 2.5, 1)
 
 
 def test_loglik_bad_hypothesis():
     with pytest.raises(ConfigError):
-        loglik_metric([Observation(1j, 1j)], [BranchParams(0.5, 1.0)], SCALE, 2)
+        loglik_metric(np.array([1j]), np.array([1j]), 0.5, 0.5, 2)
 
 
 def test_loglik_argmax_matches_sign_decision():
     branches = [BranchParams(0.975, 3.162), BranchParams(0.9, 28.46)]
     weights = optimum_weights(branches)
+    rho = np.array([br.rho for br in branches])
+    r0 = np.array([0.5 * br.gamma for br in branches])
     n = 10**5
-    rng = rng_of(20)
+    rng = np.random.default_rng(20)
     bits = rng.random(n) < 0.5
-    obs = []
-    flip = np.where(bits, -1.0, 1.0)
-    for br in branches:
-        pair = sample_fading_pair(br, SCALE, rng, size=n)
-        # fold the per-trial data phase into the fading so one vectorized
-        # make_observation call covers both hypotheses
-        rotated = FadingPair(pair.a_prev, flip * pair.a_curr)
-        obs.append(make_observation(rotated, 0.0, SCALE, rng))
-    m0 = loglik_metric(obs, branches, SCALE, 0)
-    m1 = loglik_metric(obs, branches, SCALE, 1)
-    ll_decision = np.where(m1 > m0, 1, 0)
-    stat = sum(w * (o.z_curr * np.conj(o.z_prev)).real for o, w in zip(obs, weights))
-    sign_decision = np.where(stat < 0.0, 1, 0)
-    assert np.array_equal(ll_decision, sign_decision)
+    g = _normals(rng.random((n, len(branches), 8)))
+    z_prev, z_curr = observe(g, rho, r0, np.where(bits, -1.0, 1.0)[:, None])
+    m0 = loglik_metric(z_prev, z_curr, rho, r0, 0)
+    m1 = loglik_metric(z_prev, z_curr, rho, r0, 1)
+    assert np.array_equal(m1 > m0, decide(z_prev, z_curr, weights))
 
 
 # ------------------------------------------------------------- estimate_bep
@@ -300,19 +265,17 @@ def test_estimate_invalid_arguments():
 
 
 def test_bit_symmetry():
-    # build the two conditional error rates from the public sampling surface
+    # the two conditional error rates of the kernel's channel and detector
     br = [BranchParams(0.975, 3.162), BranchParams(0.975, 28.46)]
     weights = optimum_weights(br)
+    rho = np.array([b.rho for b in br])
+    r0 = np.array([0.5 * b.gamma for b in br])
     n = 2 * 10**5
-    rng = rng_of(21)
+    rng = np.random.default_rng(21)
     rates = []
-    for phase, sent in ((0.0, 0), (math.pi, 1)):
-        obs = []
-        for b in br:
-            pair = sample_fading_pair(b, SCALE, rng, size=n)
-            obs.append(make_observation(pair, phase, SCALE, rng))
-        stat = sum(w * (o.z_curr * np.conj(o.z_prev)).real for o, w in zip(obs, weights))
-        detected = np.where(stat < 0.0, 1, 0)
+    for rot, sent in ((1.0, 0), (-1.0, 1)):
+        g = _normals(rng.random((n, len(br), 8)))
+        detected = decide(*observe(g, rho, r0, rot), weights)
         rates.append(float(np.mean(detected != sent)))
     p0, p1 = rates
     se = math.sqrt(p0 * (1 - p0) / n + p1 * (1 - p1) / n)
