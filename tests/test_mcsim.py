@@ -231,6 +231,8 @@ GOLDEN_BRANCHES = {
     1: [(0.975, 10.0)],
     2: [(0.975, 3.162), (0.9, 28.46)],
     4: [(0.9, 2.0), (0.95, 10.0), (0.975, 100.0), (0.99, 900.0)],
+    8: [(0.8, 0.3), (0.85, 0.5), (0.88, 0.8), (0.9, 1.0),
+        (0.92, 1.5), (0.94, 2.0), (0.96, 3.0), (0.98, 4.0)],
 }
 # errors for (L, detector, trials) at seed 2024 + L; 200 000 trials end
 # mid-batch and 262 144 = 2 * 2**17 end on a batch boundary
@@ -241,6 +243,7 @@ GOLDEN_ERRORS = {
     (2, Detector.SUBOPTIMUM, 200_000): 6141, (2, Detector.SUBOPTIMUM, 262_144): 7965,
     (4, Detector.OPTIMUM, 200_000): 11, (4, Detector.OPTIMUM, 262_144): 19,
     (4, Detector.SUBOPTIMUM, 200_000): 27, (4, Detector.SUBOPTIMUM, 262_144): 34,
+    (8, Detector.OPTIMUM, 200_000): 1563, (8, Detector.SUBOPTIMUM, 200_000): 1751,
 }
 
 
