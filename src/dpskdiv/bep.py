@@ -42,13 +42,15 @@ class ChernoffResult:
 
 
 def optimum_weights(branches: Sequence[BranchParams]) -> List[float]:
-    """Likelihood-ratio combining weights w_i = rho_i gamma_i / [(1+gamma_i)^2 - (rho_i gamma_i)^2]."""
+    """Likelihood-ratio combining weights w_i = rho_i gamma_i / [(1+gamma_i)^2 - (rho_i gamma_i)^2].
+
+    Computed as rho_i / [(1/gamma_i + 1 + rho_i)(1 + gamma_i (1 - rho_i))],
+    which neither overflows for large gamma_i nor cancels as rho_i -> 1;
+    w_i = 0 at gamma_i = 0.
+    """
     validate_branches(branches)
-    out = []
-    for br in branches:
-        rg = br.rho * br.gamma
-        out.append(rg / ((1.0 + br.gamma) ** 2 - rg * rg))
-    return out
+    return [br.rho / ((1.0 / br.gamma + 1.0 + br.rho) * (1.0 + br.gamma * (1.0 - br.rho)))
+            if br.gamma > 0.0 else 0.0 for br in branches]
 
 
 def _active_branches(cfg: DiversityConfig) -> List[BranchParams]:

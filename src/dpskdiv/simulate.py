@@ -22,6 +22,12 @@ for the data bits, then a (trials, L, 8) uniform block, columns 0:4 for the
 fading pair and 4:8 for the noise, mapped to normals by Box-Muller on
 consecutive pairs.  Changing TRIALS_PER_BATCH changes the stream layout and
 therefore the estimates; it is a contract constant, not a tuning knob.
+
+The kernel draws and processes a batch's block in consecutive sub-blocks of
+trials, reusing one buffer.  Philox filling consecutive slices continues the
+same stream, so the sub-blocks hold exactly the numbers of one whole-batch
+draw: the sub-block size bounds the memory per batch and is not a contract
+constant.
 """
 
 import math
@@ -36,6 +42,7 @@ from .channel import Detector, DiversityConfig, validate_config
 from .errors import ConfigError
 
 TRIALS_PER_BATCH = 1 << 17
+_SUB_BLOCK = 8192
 _MASK64 = (1 << 64) - 1
 _MIN_ERRORS_FOR_STOP = 100
 
@@ -52,13 +59,18 @@ class BepEstimate:
 
 
 def _normals(u: np.ndarray) -> np.ndarray:
-    """Box-Muller on consecutive pairs along the last axis (even length)."""
+    """Box-Muller on consecutive pairs along the last axis (even length).
+
+    Works in place and returns u: r cos(theta) overwrites the even columns
+    and r sin(theta) the odd ones.
+    """
     r = np.sqrt(-2.0 * np.log(1.0 - u[..., 0::2]))
     theta = 2.0 * np.pi * u[..., 1::2]
-    out = np.empty_like(u)
-    out[..., 0::2] = r * np.cos(theta)
-    out[..., 1::2] = r * np.sin(theta)
-    return out
+    np.cos(theta, out=u[..., 0::2])
+    u[..., 0::2] *= r
+    np.sin(theta, out=u[..., 1::2])
+    u[..., 1::2] *= r
+    return u
 
 
 def observe(g: np.ndarray, rho, r0, rot):
@@ -125,9 +137,15 @@ def _batch_rng(seed: int, batch: int) -> np.random.Generator:
 def _count_errors(rng: np.random.Generator, n: int, rho: np.ndarray, r0: np.ndarray,
                   weights: np.ndarray) -> int:
     bits = rng.random(n) < 0.5
-    g = _normals(rng.random((n, len(rho), 8)))
-    z_prev, z_curr = observe(g, rho, r0, np.where(bits, -1.0, 1.0)[:, None])
-    return int(np.count_nonzero(decide(z_prev, z_curr, weights) != bits))
+    rot = np.where(bits, -1.0, 1.0)[:, None]
+    u = np.empty((min(n, _SUB_BLOCK), len(rho), 8))
+    errors = 0
+    for s in range(0, n, _SUB_BLOCK):
+        m = min(_SUB_BLOCK, n - s)
+        g = _normals(rng.random(out=u[:m]))
+        z_prev, z_curr = observe(g, rho, r0, rot[s:s + m])
+        errors += int(np.count_nonzero(decide(z_prev, z_curr, weights) != bits[s:s + m]))
+    return errors
 
 
 def estimate_bep(cfg: DiversityConfig, trials: int, seed: int, workers: int = 1,

@@ -50,6 +50,16 @@ def test_weights_nonnegative():
         assert all(w >= 0.0 for w in optimum_weights(branches))
 
 
+def test_weights_finite_at_huge_snr():
+    for gamma in (1e10, 1e154, 1e200, 1e300):
+        for rho in (0.5, 0.9, 1.0):
+            (w,) = optimum_weights([BranchParams(rho, gamma)])
+            assert math.isfinite(w) and w > 0.0
+        # 1 - rho**2 dominates 1/gamma: w -> rho / ((1 + rho)(1 - rho) gamma)
+        (w,) = optimum_weights([BranchParams(0.5, gamma)])
+        assert abs(w * gamma / (0.5 / 0.75) - 1.0) < 1e-9
+
+
 # ---------------------------------------------------------------- exact_bep
 
 

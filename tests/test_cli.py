@@ -218,6 +218,16 @@ def test_simulate_env_var_workers(capsys, monkeypatch):
     assert with_env == without  # worker count never changes totals
 
 
+def test_simulate_huge_snr_optimum(capsys):
+    # gamma = 1e160 once overflowed (1 + gamma) ** 2 in the optimum weights
+    code, out, _ = run_cli(capsys, "simulate", "--gamma-b-db-range", "1600:1600:1",
+                           "--eta", "0.5", "--rho", "0.9", "--trials", "10",
+                           "--detector", "optimum")
+    assert code == 0
+    (row,) = parse_rows(out)
+    assert row.trials == 10 and 0.0 <= row.mc_p_hat <= 1.0
+
+
 # ------------------------------------------------------------- doppler-rho
 
 

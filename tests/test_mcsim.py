@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from dpskdiv import (
     exact_bep,
     optimum_weights,
 )
-from dpskdiv.simulate import _normals, decide, loglik_metric, observe
+from dpskdiv import simulate
+from dpskdiv.simulate import _batch_rng, _normals, decide, loglik_metric, observe
 
 
 def normals(seed, n, l=1):
@@ -255,6 +257,43 @@ def test_estimate_golden_stream(l, det, trials):
     est = estimate_bep(cfg, trials, seed=2024 + l)
     assert est.trials == trials
     assert est.errors == GOLDEN_ERRORS[(l, det, trials)]
+
+
+def kernel_inputs(branches):
+    rho = np.array([r for r, _ in branches])
+    r0 = np.array([0.5 * g for _, g in branches])
+    weights = optimum_weights([BranchParams(r, g) for r, g in branches])
+    return rho, r0, (np.array(weights), np.ones(len(branches)))
+
+
+@pytest.mark.parametrize("n", [1, 10, 4321])
+def test_sub_blocks_match_one_draw(monkeypatch, n):
+    # sub-blocks of a size that divides neither n nor the batch, and batches
+    # smaller than one sub-block, give the errors of one whole-block draw
+    monkeypatch.setattr(simulate, "_SUB_BLOCK", 1000)
+    rho, r0, weight_kinds = kernel_inputs([(0.8, 0.3), (0.9, 1.0), (0.95, 2.0)])
+    for weights in weight_kinds:
+        ref = _batch_rng(77, 3)
+        bits = ref.random(n) < 0.5
+        g = _normals(ref.random((n, len(rho), 8)))
+        z_prev, z_curr = observe(g, rho, r0, np.where(bits, -1.0, 1.0)[:, None])
+        expect = int(np.count_nonzero(decide(z_prev, z_curr, weights) != bits))
+        rng = _batch_rng(77, 3)
+        assert simulate._count_errors(rng, n, rho, r0, weights) == expect
+        assert rng.random() == ref.random()  # both consumed the same draws
+
+
+def test_batch_peak_memory():
+    # a whole-block kernel held the (2**17, 4, 8) block and its complex
+    # temporaries at once: 112 MiB under tracemalloc
+    rho, r0, (weights, _) = kernel_inputs(GOLDEN_BRANCHES[4])
+    tracemalloc.start()
+    try:
+        simulate._count_errors(_batch_rng(1, 0), simulate.TRIALS_PER_BATCH, rho, r0, weights)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
 
 
 def test_estimate_invalid_arguments():
