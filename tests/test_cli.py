@@ -219,7 +219,7 @@ def test_simulate_env_var_workers(capsys, monkeypatch):
 
 
 def test_simulate_huge_snr_optimum(capsys):
-    # gamma = 1e160 once overflowed (1 + gamma) ** 2 in the optimum weights
+    # gamma = 1e160: the optimum weights must not square (1 + gamma)
     code, out, _ = run_cli(capsys, "simulate", "--gamma-b-db-range", "1600:1600:1",
                            "--eta", "0.5", "--rho", "0.9", "--trials", "10",
                            "--detector", "optimum")

@@ -284,8 +284,8 @@ def test_sub_blocks_match_one_draw(monkeypatch, n):
 
 
 def test_batch_peak_memory():
-    # a whole-block kernel held the (2**17, 4, 8) block and its complex
-    # temporaries at once: 112 MiB under tracemalloc
+    # the whole (2**17, 4, 8) block and its complex temporaries take
+    # 112 MiB; sub-blocks keep one batch to a few MiB
     rho, r0, (weights, _) = kernel_inputs(GOLDEN_BRANCHES[4])
     tracemalloc.start()
     try:
