@@ -11,9 +11,12 @@ bep.power_split, which takes the total SNR in dB; the rest of the library
 works in linear SNR throughout.
 
 Options for a subcommand may come from a flat key = value config file
-(--config FILE, '#' comments allowed, keys spelled like the long flags with
-dashes or underscores); flags given on the command line win over file
-values.
+(--config FILE, '#' comments allowed).  Each line becomes the argument
+--key=value (underscores in the key read as dashes), placed before the
+command-line flags, so a flag wins over the file and the file over the
+default.  A key is therefore accepted exactly when --key=value is accepted
+on the command line: an unknown key is an error, and a value-less flag such
+as --json cannot come from a file.
 """
 
 import argparse
@@ -67,7 +70,6 @@ class SweepSpec:
     rhos: Tuple[float, ...]
     detectors: Tuple[Detector, ...]
     outputs: Tuple[str, ...]
-    L: int = 2
     mc_trials: Optional[int] = None
     seed: Optional[int] = None
     workers: int = 1
@@ -164,8 +166,6 @@ def _grid_values(start: float, stop: float, step: float) -> List[float]:
 
 def sweep_rows(spec: SweepSpec) -> List[ResultRow]:
     """Evaluate a SweepSpec into result rows, lexicographic grid order."""
-    if spec.L != 2:
-        raise ConfigError("sweeps use the two-branch power split; L must be 2")
     outputs = _validate_outputs(spec.outputs, allow_mc=spec.mc_trials is not None)
     gammas = _grid_values(spec.gamma_start, spec.gamma_stop, spec.gamma_step)
     if not spec.etas:
@@ -175,8 +175,6 @@ def sweep_rows(spec: SweepSpec) -> List[ResultRow]:
     if not spec.detectors:
         raise ConfigError("detector list is empty")
     if "mc" in outputs:
-        if spec.mc_trials is None:
-            raise ConfigError("mc output requires trials")
         from .simulate import estimate_bep  # numpy: only the simulator needs it
     rows = []
     index = 0
@@ -211,155 +209,136 @@ def _print_rows(rows: Sequence[ResultRow]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# option resolution: command line > config file > hard default
+# option values: argparse type= converters and the files options point to
 
 
-def _load_kv(path: str) -> dict:
+class _Parser(argparse.ArgumentParser):
+    """Raises every usage error (bad value, missing option, unknown flag) as
+    ConfigError, so main() returns 2 instead of exiting."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
+# --config alone: the parent parser of every subcommand that takes it, and the
+# pre-parser that finds the file before the full parse
+_CONFIG = _Parser(add_help=False)
+_CONFIG.add_argument("--config", help="flat key = value file supplying option defaults")
+
+
+def _lines(path: str, what: str) -> List[Tuple[int, str]]:
+    """(line number, text) of each non-blank line, '#' comments removed."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = fh.readlines()
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    out = {}
-    for lineno, line in enumerate(raw, 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
+        raise ConfigError(f"cannot read {what} file {path}: {exc}") from exc
+    stripped = ((lineno, line.split("#", 1)[0].strip()) for lineno, line in enumerate(raw, 1))
+    return [(lineno, line) for lineno, line in stripped if line]
+
+
+def _with_config(argv: List[str]) -> List[str]:
+    """argv with the --config file's lines inserted as --key=value arguments
+    right after the subcommand name, so later command-line flags win."""
+    path = _CONFIG.parse_known_args(argv[1:])[0].config
+    if path is None:
+        return argv
+    flags = []
+    for lineno, line in _lines(path, "config"):
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
         key, val = line.split("=", 1)
-        out[key.strip().replace("-", "_")] = val.strip()
-    return out
+        flags.append(f"--{key.strip().replace('_', '-')}={val.strip()}")
+    return argv[:1] + flags + argv[1:]
 
 
-class _Resolver:
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.file = _load_kv(args.config) if getattr(args, "config", None) else {}
-
-    def get(self, key, conv, default=None, required=False):
-        raw = getattr(self.args, key, None)
-        if raw is None:
-            raw = self.file.get(key)
-        if raw is None:
-            if required:
-                raise ConfigError(f"missing required option --{key.replace('_', '-')}")
-            return default
-        return conv(raw, key)
-
-
-def _conv_float(raw: str, key: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"invalid number for {key}: {raw!r}") from None
-
-
-def _conv_int(raw: str, key: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"invalid integer for {key}: {raw!r}") from None
-
-
-def _conv_float_list(raw: str, key: str) -> Tuple[float, ...]:
-    items = [s.strip() for s in str(raw).split(",") if s.strip()]
+def _names(raw: str) -> Tuple[str, ...]:
+    items = tuple(s.strip() for s in raw.split(",") if s.strip())
     if not items:
-        raise ConfigError(f"empty list for {key}")
-    return tuple(_conv_float(s, key) for s in items)
+        raise argparse.ArgumentTypeError(f"empty list {raw!r}")
+    return items
 
 
-def _conv_range(raw: str, key: str) -> Tuple[float, float, float]:
-    parts = [s.strip() for s in str(raw).split(":")]
-    if len(parts) != 3:
-        raise ConfigError(f"{key} must be START:STOP:STEP, got {raw!r}")
-    return tuple(_conv_float(s, key) for s in parts)
+def _floats(raw: str) -> Tuple[float, ...]:
+    try:
+        return tuple(float(s) for s in _names(raw))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid number list {raw!r}") from None
 
 
-def _conv_str(raw: str, key: str) -> str:
-    return str(raw)
+def _range(raw: str) -> Tuple[float, float, float]:
+    try:
+        start, stop, step = (float(s) for s in raw.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected START:STOP:STEP in dB, got {raw!r}") from None
+    return start, stop, step
 
 
-def _conv_detectors(raw: str, key: str) -> Tuple[Detector, ...]:
-    name = str(raw).strip().lower()
+def _detectors(raw: str) -> Tuple[Detector, ...]:
+    name = raw.strip().lower()
     if name == "both":
         return (Detector.OPTIMUM, Detector.SUBOPTIMUM)
     try:
         return (Detector(name),)
     except ValueError:
-        raise ConfigError(f"unknown detector {raw!r}") from None
+        raise argparse.ArgumentTypeError(f"unknown detector {raw!r}") from None
 
 
-def _conv_outputs(raw: str, key: str) -> Tuple[str, ...]:
-    items = [s.strip() for s in str(raw).split(",") if s.strip()]
-    if not items:
-        raise ConfigError("outputs list is empty")
-    return tuple(items)
-
-
-def _default_workers() -> int:
-    env = os.environ.get(WORKERS_ENV)
-    if env is None:
-        return 1
+def _spectrum(raw: str) -> SpectrumKind:
     try:
-        n = int(env)
+        return SpectrumKind(raw.lower())
     except ValueError:
-        raise ConfigError(f"{WORKERS_ENV}={env!r} is not an integer") from None
-    if n < 1:
-        raise ConfigError(f"{WORKERS_ENV} must be >= 1")
-    return n
+        raise argparse.ArgumentTypeError(f"unknown spectrum {raw!r}") from None
+
+
+def _read_table(path: str) -> Tuple[Tuple[float, float], ...]:
+    table = []
+    for lineno, line in _lines(path, "table"):
+        parts = line.replace(",", " ").split()
+        if len(parts) != 2:
+            raise ConfigError(f"{path}:{lineno}: expected 'lag value'")
+        try:
+            table.append((float(parts[0]), float(parts[1])))
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: invalid number in {line!r}") from None
+    return tuple(table)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _branches_from_options(res: _Resolver) -> Tuple[DiversityConfig, Optional[float], Optional[float], Optional[float]]:
-    """Build the config for cmd_bep; returns (cfg, gamma_b_db, eta, rho_common)."""
-    det = res.get("detector", _conv_detectors, default=(Detector.OPTIMUM,))
-    if len(det) != 1:
+def cmd_bep(args: argparse.Namespace) -> int:
+    if len(args.detector) != 1:
         raise ConfigError("bep evaluates a single detector; pass optimum or suboptimum")
-    gamma_db_list = res.get("gamma_db", _conv_float_list)
-    gamma_b_db = res.get("gamma_b_db", _conv_float)
-    eta = res.get("eta", _conv_float)
-    rhos = res.get("rho", _conv_float_list, required=True)
-    if (gamma_db_list is None) == (gamma_b_db is None):
+    if (args.gamma_db is None) == (args.gamma_b_db is None):
         raise ConfigError("pass either --gamma-db (per branch) or --gamma-b-db with --eta")
-    if gamma_db_list is not None:
-        gammas = [db_to_linear(db) for db in gamma_db_list]
+    if args.gamma_db is not None:
+        gammas = [db_to_linear(db) for db in args.gamma_db]
         total_db = 10.0 * math.log10(sum(gammas)) if sum(gammas) > 0 else None
-        eta_out = None
+        eta = None
     else:
-        if eta is None:
+        if args.eta is None:
             raise ConfigError("--gamma-b-db requires --eta")
-        g1, g2 = power_split(gamma_b_db, eta)
-        gammas = [g1, g2]
-        total_db = gamma_b_db
-        eta_out = eta
+        gammas = power_split(args.gamma_b_db, args.eta)
+        total_db, eta = args.gamma_b_db, args.eta
+    rhos = args.rho
     if len(rhos) == 1:
         rhos = rhos * len(gammas)
     if len(rhos) != len(gammas):
         raise ConfigError(f"{len(rhos)} rho values for {len(gammas)} branches")
-    want_l = res.get("L", _conv_int)
-    if want_l is not None and want_l != len(gammas):
-        raise ConfigError(f"--L {want_l} does not match {len(gammas)} branch parameters")
-    branches = tuple(BranchParams(r, g) for r, g in zip(rhos, gammas))
-    cfg = DiversityConfig(branches, det[0])
-    rho_common = rhos[0] if all(r == rhos[0] for r in rhos) else None
-    return cfg, total_db, eta_out, rho_common
-
-
-def cmd_bep(args: argparse.Namespace) -> int:
-    res = _Resolver(args)
-    cfg, gamma_b_db, eta, rho = _branches_from_options(res)
-    bound_kind = res.get("bound", _conv_str)
+    if args.L is not None and args.L != len(gammas):
+        raise ConfigError(f"--L {args.L} does not match {len(gammas)} branch parameters")
+    cfg = DiversityConfig(tuple(BranchParams(r, g) for r, g in zip(rhos, gammas)),
+                          args.detector[0])
     outputs = ["exact"]
-    if bound_kind is not None:
-        outputs.append(bound_kind)
+    if args.bound is not None:
+        outputs.append(args.bound)
     outputs = _validate_outputs(outputs, allow_mc=False)
     row = ResultRow(
-        gamma_b_db=gamma_b_db, eta=eta, rho=rho, detector=cfg.detector.value,
-        exact_bep=exact_bep(cfg), bound=_bound_for(cfg, outputs))
+        gamma_b_db=total_db, eta=eta,
+        rho=rhos[0] if all(r == rhos[0] for r in rhos) else None,
+        detector=cfg.detector.value, exact_bep=exact_bep(cfg), bound=_bound_for(cfg, outputs))
     if args.json:
         payload = {k: v for k, v in row.__dict__.items() if v is not None and v != ""}
         print(json.dumps(payload, sort_keys=True))
@@ -368,82 +347,32 @@ def cmd_bep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_spec_from_options(res: _Resolver, with_mc: bool) -> SweepSpec:
-    start, stop, step = res.get("gamma_b_db_range", _conv_range, required=True)
-    etas = res.get("eta", _conv_float_list, required=True)
-    rhos = res.get("rho", _conv_float_list, required=True)
-    detectors = res.get("detector", _conv_detectors,
-                        default=(Detector.OPTIMUM, Detector.SUBOPTIMUM))
-    if with_mc:
-        outputs = res.get("outputs", _conv_outputs, default=("exact", "mc"))
+def cmd_grid(args: argparse.Namespace) -> int:
+    """sweep and simulate: the two-branch power-split grid; simulate adds mc."""
+    start, stop, step = args.gamma_b_db_range
+    outputs, mc = args.outputs, {}
+    if args.command == "simulate":
         if "mc" not in outputs:
-            outputs = outputs + ("mc",)
-        trials = res.get("trials", _conv_int, required=True)
-        if trials < 1:
-            raise ConfigError(f"trials={trials} must be >= 1")
-        seed = res.get("seed", _conv_int, default=1)
-        workers = res.get("workers", _conv_int, default=_default_workers())
-        stop_rel_tol = res.get("stop_rel_tol", _conv_float)
-    else:
-        outputs = res.get("outputs", _conv_outputs,
-                          default=("exact", "chernoff_improved"))
-        trials = seed = stop_rel_tol = None
-        workers = 1
-    return SweepSpec(
-        gamma_start=start, gamma_stop=stop, gamma_step=step,
-        etas=etas, rhos=rhos, detectors=detectors, outputs=outputs,
-        mc_trials=trials, seed=seed, workers=workers, stop_rel_tol=stop_rel_tol)
-
-
-def cmd_sweep(args: argparse.Namespace) -> int:
-    spec = _sweep_spec_from_options(_Resolver(args), with_mc=False)
-    _print_rows(sweep_rows(spec))
+            outputs += ("mc",)
+        mc = dict(mc_trials=args.trials, seed=args.seed, workers=args.workers,
+                  stop_rel_tol=args.stop_rel_tol)
+    _print_rows(sweep_rows(SweepSpec(
+        gamma_start=start, gamma_stop=stop, gamma_step=step, etas=args.eta, rhos=args.rho,
+        detectors=args.detector, outputs=outputs, **mc)))
     return 0
-
-
-def cmd_simulate(args: argparse.Namespace) -> int:
-    spec = _sweep_spec_from_options(_Resolver(args), with_mc=True)
-    _print_rows(sweep_rows(spec))
-    return 0
-
-
-def _read_table(path: str) -> Tuple[Tuple[float, float], ...]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = fh.readlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read table file {path}: {exc}") from exc
-    table = []
-    for lineno, line in enumerate(raw, 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.replace(",", " ").split()
-        if len(parts) != 2:
-            raise ConfigError(f"{path}:{lineno}: expected 'lag value'")
-        table.append((_conv_float(parts[0], "lag"), _conv_float(parts[1], "value")))
-    return tuple(table)
 
 
 def cmd_doppler_rho(args: argparse.Namespace) -> int:
-    res = _Resolver(args)
-    kind_name = res.get("spectrum", _conv_str, required=True).lower()
-    try:
-        kind = SpectrumKind(kind_name)
-    except ValueError:
-        raise ConfigError(f"unknown spectrum {kind_name!r}") from None
-    table_path = res.get("table", _conv_str)
-    if kind is SpectrumKind.TABULATED:
-        if table_path is None:
+    table, fdt = None, args.fdt
+    if args.spectrum is SpectrumKind.TABULATED:
+        if args.table is None:
             raise ConfigError("tabulated spectrum requires --table FILE")
-        table = _read_table(table_path)
-        fdt = res.get("fdt", _conv_float, default=0.0)
-    else:
-        table = None
-        fdt = res.get("fdt", _conv_float, required=True)
-    order = res.get("quad_order", _conv_int, default=DEFAULT_QUAD_ORDER)
-    rho = rho_from_doppler(DopplerSpec(kind=kind, fdt=fdt, table=table), quad_order=order)
-    print("%.11e" % rho)
+        table = _read_table(args.table)
+        fdt = 0.0 if fdt is None else fdt
+    elif fdt is None:
+        raise ConfigError("missing required option --fdt")
+    spec = DopplerSpec(kind=args.spectrum, fdt=fdt, table=table)
+    print("%.11e" % rho_from_doppler(spec, quad_order=args.quad_order))
     return 0
 
 
@@ -462,10 +391,7 @@ _FIGURE_SPECS = {
 
 
 def cmd_reproduce_fig(args: argparse.Namespace) -> int:
-    spec = _FIGURE_SPECS.get(args.figure)
-    if spec is None:
-        raise ConfigError(f"unknown figure {args.figure!r}; choose 1 or 2")
-    _print_rows(sweep_rows(spec))
+    _print_rows(sweep_rows(_FIGURE_SPECS[args.figure]))
     return 0
 
 
@@ -473,79 +399,80 @@ def cmd_reproduce_fig(args: argparse.Namespace) -> int:
 # parser
 
 
-def _add_config_opt(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="flat key = value file supplying option defaults")
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dpskdiv",
         description="BEP analysis and simulation for DPSK diversity over "
                     "nonidentical Rayleigh fading branches")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("bep", help="evaluate one configuration")
-    _add_config_opt(p)
-    p.add_argument("--detector", help="optimum or suboptimum (default optimum)")
-    p.add_argument("--rho", help="correlation coefficient, single value or comma list")
-    p.add_argument("--gamma-db", dest="gamma_db", help="per-branch mean SNR in dB, comma list")
-    p.add_argument("--gamma-b-db", dest="gamma_b_db", help="total SNR per bit in dB (two-branch split)")
-    p.add_argument("--eta", help="fraction of total energy on branch 1")
-    p.add_argument("--L", dest="L", help="number of branches (for cross-checking the lists)")
+    p = sub.add_parser("bep", parents=[_CONFIG], help="evaluate one configuration")
+    p.add_argument("--detector", type=_detectors, default=(Detector.OPTIMUM,),
+                   help="optimum or suboptimum (default optimum)")
+    p.add_argument("--rho", type=_floats, required=True,
+                   help="correlation coefficient, single value or comma list")
+    p.add_argument("--gamma-db", type=_floats, help="per-branch mean SNR in dB, comma list")
+    p.add_argument("--gamma-b-db", type=float, help="total SNR per bit in dB (two-branch split)")
+    p.add_argument("--eta", type=float, help="fraction of total energy on branch 1")
+    p.add_argument("--L", type=int, help="number of branches (for cross-checking the lists)")
     p.add_argument("--bound", help="also print a bound: chernoff or chernoff_improved")
     p.add_argument("--json", action="store_true", help="emit a single JSON object instead of CSV")
     p.set_defaults(func=cmd_bep)
 
-    p = sub.add_parser("sweep", help="analytic results over a two-branch grid")
-    _add_config_opt(p)
-    p.add_argument("--gamma-b-db-range", dest="gamma_b_db_range", help="START:STOP:STEP in dB")
-    p.add_argument("--eta", help="comma list of power-split fractions")
-    p.add_argument("--rho", help="comma list of correlation coefficients")
-    p.add_argument("--detector", help="optimum, suboptimum, or both (default both)")
-    p.add_argument("--outputs", help="comma list from exact, chernoff, chernoff_improved")
-    p.set_defaults(func=cmd_sweep)
+    for name, help_, outputs, outputs_help in (
+            ("sweep", "analytic results over a two-branch grid", ("exact", "chernoff_improved"),
+             "comma list from exact, chernoff, chernoff_improved"),
+            ("simulate", "Monte Carlo over a two-branch grid", ("exact", "mc"),
+             "comma list; mc is always included")):
+        p = sub.add_parser(name, parents=[_CONFIG], help=help_)
+        p.add_argument("--gamma-b-db-range", type=_range, required=True,
+                       help="START:STOP:STEP in dB")
+        p.add_argument("--eta", type=_floats, required=True,
+                       help="comma list of power-split fractions")
+        p.add_argument("--rho", type=_floats, required=True,
+                       help="comma list of correlation coefficients")
+        p.add_argument("--detector", type=_detectors,
+                       default=(Detector.OPTIMUM, Detector.SUBOPTIMUM),
+                       help="optimum, suboptimum, or both (default both)")
+        p.add_argument("--outputs", type=_names, default=outputs, help=outputs_help)
+        if name == "simulate":
+            p.add_argument("--trials", type=int, required=True,
+                           help="Monte Carlo trials per grid point")
+            p.add_argument("--seed", type=int, default=1,
+                           help="base seed; row i uses seed + i (default 1)")
+            # a string default goes through type= too, only when the flag is absent
+            p.add_argument("--workers", type=int, default=os.environ.get(WORKERS_ENV, "1"),
+                           help=f"worker threads (default ${WORKERS_ENV} or 1)")
+            p.add_argument("--stop-rel-tol", type=float,
+                           help="optional early stop: end a point once ci < tol * p_hat")
+        p.set_defaults(func=cmd_grid)
 
-    p = sub.add_parser("simulate", help="Monte Carlo over a two-branch grid")
-    _add_config_opt(p)
-    p.add_argument("--gamma-b-db-range", dest="gamma_b_db_range", help="START:STOP:STEP in dB")
-    p.add_argument("--eta", help="comma list of power-split fractions")
-    p.add_argument("--rho", help="comma list of correlation coefficients")
-    p.add_argument("--detector", help="optimum, suboptimum, or both (default both)")
-    p.add_argument("--outputs", help="comma list; mc is always included")
-    p.add_argument("--trials", help="Monte Carlo trials per grid point")
-    p.add_argument("--seed", help="base seed; row i uses seed + i (default 1)")
-    p.add_argument("--workers", help=f"worker threads (default ${WORKERS_ENV} or 1)")
-    p.add_argument("--stop-rel-tol", dest="stop_rel_tol",
-                   help="optional early stop: end a point once ci < tol * p_hat")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("doppler-rho", help="fading correlation from a Doppler spectrum")
-    _add_config_opt(p)
-    p.add_argument("--spectrum", help="jakes, gaussian, rectangular, or tabulated")
-    p.add_argument("--fdt", help="normalized Doppler bandwidth (Doppler spread x bit time)")
+    p = sub.add_parser("doppler-rho", parents=[_CONFIG],
+                       help="fading correlation from a Doppler spectrum")
+    p.add_argument("--spectrum", type=_spectrum, required=True,
+                   help="jakes, gaussian, rectangular, or tabulated")
+    p.add_argument("--fdt", type=float,
+                   help="normalized Doppler bandwidth (Doppler spread x bit time)")
     p.add_argument("--table", help="covariance table file: 'lag value' per line, lags in bit times")
-    p.add_argument("--quad-order", dest="quad_order",
+    p.add_argument("--quad-order", type=int, default=DEFAULT_QUAD_ORDER,
                    help="starting Gauss-Legendre nodes per smooth piece (default 16)")
     p.set_defaults(func=cmd_doppler_rho)
 
     p = sub.add_parser("reproduce-fig", help="emit the data grid behind a published figure")
-    p.add_argument("--figure", required=True, help="1 or 2")
+    p.add_argument("--figure", required=True, choices=_FIGURE_SPECS, help="1 or 2")
     p.set_defaults(func=cmd_reproduce_fig)
 
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
+        args = build_parser().parse_args(_with_config(argv))
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 3 if isinstance(exc, ConvergenceError) else 2
 
 
 def entry() -> None:

@@ -350,6 +350,80 @@ def test_config_file_missing(capsys):
     assert code == 2
 
 
+POINT = "gamma-b-db = 15\neta = 0.1\nrho = 0.975\n"
+GRID = "gamma_b_db_range = 4:8:4\neta = 0.2\nrho = 0.95\ntrials = 5000\n"
+
+
+@pytest.mark.parametrize("command, text, key", [
+    ("simulate", GRID + "sed = 5\n", "--sed=5"),
+    ("bep", POINT + "func = x\n", "--func=x"),
+    ("bep", POINT + "json = true\n", "--json"),
+], ids=["sed", "func", "json"])
+def test_config_file_rejects_unknown_keys(capsys, tmp_path, command, text, key):
+    # a key is accepted exactly when --key=value is accepted on the command
+    # line; a misspelt key must not fall back silently to the default
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text(text)
+    code, out, err = run_cli(capsys, command, "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and key in err
+
+
+@pytest.mark.parametrize("command, options", [
+    ("sweep", {"gamma_b_db_range": "-10:0:5", "eta": "0.1,0.3", "rho": "0.975",
+               "outputs": "exact,chernoff"}),
+    ("simulate", {"gamma-b-db-range": "4:8:4", "eta": "0.2", "rho": "0.95",
+                  "detector": "optimum", "trials": "20000", "seed": "7",
+                  "stop_rel_tol": "0.5", "workers": "2"}),
+    ("doppler-rho", {"spectrum": "gaussian", "fdt": "0.03", "quad_order": "8"}),
+])
+def test_config_file_matches_flags(capsys, tmp_path, command, options):
+    cfg = tmp_path / "opts.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in options.items()))
+    flags = [f"--{k.replace('_', '-')}={v}" for k, v in options.items()]
+    code, from_flags, _ = run_cli(capsys, command, *flags)
+    assert code == 0
+    code, from_file, _ = run_cli(capsys, command, "--config", str(cfg))
+    assert code == 0
+    assert from_file.encode() == from_flags.encode()
+
+
+@pytest.mark.parametrize("argv", [["bep", "--bogus", "1"], []], ids=["unknown-flag", "empty"])
+def test_usage_error_returns_code_two(capsys, argv):
+    # in-process callers get a return code, not SystemExit
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["bep", "--rho", "abc", "--gamma-db", "10"], ["--rho", "abc"]),
+    (["simulate", "--gamma-b-db-range", "0:10:5", "--eta", "0.1", "--rho", "0.9",
+      "--trials", "1e3"], ["--trials", "1e3"]),
+    (["sweep", "--gamma-b-db-range", "0:10:5", "--eta", "0.1", "--rho", "0.9",
+      "--detector", "nope"], ["--detector", "nope"]),
+    (["doppler-rho", "--spectrum", "butterworth", "--fdt", "0.1"],
+     ["--spectrum", "butterworth"]),
+    (["sweep", "--gamma-b-db-range", "0:30", "--eta", "0.1", "--rho", "0.9"],
+     ["--gamma-b-db-range", "0:30"]),
+    (["bep", "--gamma-db", "10", "--config", "{cfg}"], ["--rho", "abc"]),
+    (["doppler-rho", "--spectrum", "tabulated", "--table", "{table}"],
+     ["{table}:2", "0.5 x"]),
+], ids=["rho", "trials", "detector", "spectrum", "range", "config-file", "table-line"])
+def test_bad_value_error_names_it(capsys, tmp_path, argv, named):
+    files = {"cfg": tmp_path / "bad.cfg", "table": tmp_path / "bad.txt"}
+    files["cfg"].write_text("rho = abc\n")
+    files["table"].write_text("0 1\n0.5 x\n2 1\n")
+    code, out, err = run_cli(capsys, *[a.format(**files) for a in argv])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    for text in named:
+        assert text.format(**files) in err
+
+
 # ------------------------------------------------------------------ parsing
 
 
