@@ -10,7 +10,8 @@ means proportional to alpha_i and Y with means proportional to beta_j.  Under
 optimum combining alpha_i = rho_i gamma_i / (1 + gamma_i - rho_i gamma_i) and
 beta_i = rho_i gamma_i / (1 + gamma_i + rho_i gamma_i), while unit-weight
 (suboptimum) combining has alpha_i = 1 + gamma_i + rho_i gamma_i and
-beta_i = 1 + gamma_i - rho_i gamma_i.
+beta_i = 1 + gamma_i - rho_i gamma_i.  These poles are formed once, by
+_poles, and exact_bep and both Chernoff bounds read them from there.
 
 The paper writes P_b = P(X < Y) as the partial-fraction double sum
 sum_i sum_j A_i B_j beta_j / (alpha_i + beta_j) with
@@ -53,10 +54,22 @@ def optimum_weights(branches: Sequence[BranchParams]) -> List[float]:
             if br.gamma > 0.0 else 0.0 for br in branches]
 
 
-def _active_branches(cfg: DiversityConfig) -> List[BranchParams]:
-    if cfg.detector is Detector.OPTIMUM:
-        return [br for br in cfg.branches if br.rho * br.gamma > 0.0]
-    return list(cfg.branches)
+def _poles(cfg: DiversityConfig) -> Tuple[List[float], List[float]]:
+    """Phase means (alpha_i, beta_i) of X and Y, in branch order; the optimum
+    detector drops branches with rho*gamma = 0 (see exact_bep)."""
+    alphas: List[float] = []
+    betas: List[float] = []
+    for br in cfg.branches:
+        g = br.gamma
+        rg = br.rho * g
+        diff = 1.0 + g * (1.0 - br.rho)  # 1 + gamma - rho gamma, free of cancellation as rho -> 1
+        if cfg.detector is Detector.SUBOPTIMUM:
+            alphas.append(1.0 + g + rg)
+            betas.append(diff)
+        elif rg > 0.0:
+            alphas.append(rg / diff)
+            betas.append(rg / (1.0 + g + rg))
+    return alphas, betas
 
 
 def _phase_race(alphas: Sequence[float], betas: Sequence[float]) -> float:
@@ -84,22 +97,9 @@ def exact_bep(cfg: DiversityConfig) -> float:
     the statistic is identically zero and the result is a coin flip, 0.5.
     """
     cfg = validate_config(cfg)
-    active = _active_branches(cfg)
-    if not active:
+    alphas, betas = _poles(cfg)
+    if not alphas:
         return 0.5
-    alphas: List[float] = []
-    betas: List[float] = []
-    for br in active:
-        g = br.gamma
-        rg = br.rho * g
-        # 1 + gamma - rho gamma, free of cancellation as rho -> 1
-        diff = 1.0 + g * (1.0 - br.rho)
-        if cfg.detector is Detector.OPTIMUM:
-            alphas.append(rg / diff)
-            betas.append(rg / (1.0 + g + rg))
-        else:
-            alphas.append(1.0 + g + rg)
-            betas.append(diff)
     # sorted, so that the result does not depend on the order of the branches
     return _phase_race(sorted(alphas), sorted(betas))
 
@@ -128,29 +128,31 @@ def power_split(gamma_b_db: float, eta: float) -> Tuple[float, float]:
     return eta * total, (1.0 - eta) * total
 
 
+def _chernoff(alphas: Sequence[float], betas: Sequence[float], s: float,
+              improved: bool) -> ChernoffResult:
+    """prod_i 1 / [(1 + 4 s alpha_i)(1 - 4 s beta_i)], halved when improved,
+    evaluated through its log, -sum_i [log1p(4 s alpha_i) + log1p(-4 s beta_i)]."""
+    bound = math.exp(-math.fsum(math.log1p(4.0 * s * a) + math.log1p(-4.0 * s * b)
+                                for a, b in zip(alphas, betas)))
+    if improved:
+        bound *= 0.5
+    return ChernoffResult(bound=bound, s_opt=s, improved=improved)
+
+
 def chernoff_optimum(cfg: DiversityConfig, improved: bool = True) -> ChernoffResult:
     """Chernoff bound for the optimum detector.
 
-    The optimal bound parameter is s = 1/4 (with N0 = 1) for every branch,
-    giving bound = prod_i [1 - (rho_i gamma_i / (1 + gamma_i))^2], halved
-    when improved.
+    The bound prod_i 1 / [(1 + 4 s alpha_i)(1 - 4 s beta_i)] on the optimum
+    poles is minimized at s = 1/4 (with N0 = 1) for every branch, because
+    alpha_i / (1 + alpha_i) = beta_i / (1 - beta_i) = rho_i gamma_i / (1 + gamma_i)
+    makes each branch's derivative vanish there.  The bound is then
+    prod_i [1 - (rho_i gamma_i / (1 + gamma_i))^2], halved when improved.
     """
     cfg = validate_config(cfg)
     if cfg.detector is not Detector.OPTIMUM:
         raise ConfigError("chernoff_optimum requires an optimum-detector config")
-    s_opt = 0.25
-    factors = []
-    for br in cfg.branches:
-        rg = br.rho * br.gamma
-        if rg > 0.0:
-            s_max = (1.0 + br.gamma + rg) / (4.0 * rg)
-            if not s_opt < s_max:
-                raise RuntimeError("bound parameter left its admissible interval")
-        factors.append(1.0 - (rg / (1.0 + br.gamma)) ** 2)
-    bound = math.prod(factors)
-    if improved:
-        bound *= 0.5
-    return ChernoffResult(bound=bound, s_opt=s_opt, improved=improved)
+    alphas, betas = _poles(cfg)
+    return _chernoff(alphas, betas, 0.25, improved)
 
 
 def chernoff_suboptimum(cfg: DiversityConfig, improved: bool = True) -> ChernoffResult:
@@ -165,17 +167,14 @@ def chernoff_suboptimum(cfg: DiversityConfig, improved: bool = True) -> Chernoff
     cfg = validate_config(cfg)
     if cfg.detector is not Detector.SUBOPTIMUM:
         raise ConfigError("chernoff_suboptimum requires a suboptimum-detector config")
-    al = [1.0 + br.gamma + br.rho * br.gamma for br in cfg.branches]
-    bt = [1.0 + br.gamma - br.rho * br.gamma for br in cfg.branches]
-    s_hi = 1.0 / (4.0 * max(bt))
+    alphas, betas = _poles(cfg)
+    s_hi = 1.0 / (4.0 * max(betas))
     lo = 1e-12 * s_hi
     hi = (1.0 - 1e-12) * s_hi
 
-    def log_bound(s):
-        return -math.fsum(math.log1p(4.0 * s * a) + math.log1p(-4.0 * s * b) for a, b in zip(al, bt))
-
     def dlog_bound(s):
-        return sum(4.0 * b / (1.0 - 4.0 * s * b) - 4.0 * a / (1.0 + 4.0 * s * a) for a, b in zip(al, bt))
+        return sum(4.0 * b / (1.0 - 4.0 * s * b) - 4.0 * a / (1.0 + 4.0 * s * a)
+                   for a, b in zip(alphas, betas))
 
     if dlog_bound(lo) >= 0.0:
         s_opt = lo
@@ -187,7 +186,4 @@ def chernoff_suboptimum(cfg: DiversityConfig, improved: bool = True) -> Chernoff
             else:
                 lo = mid
         s_opt = 0.5 * (lo + hi)
-    bound = math.exp(log_bound(s_opt))
-    if improved:
-        bound *= 0.5
-    return ChernoffResult(bound=bound, s_opt=s_opt, improved=improved)
+    return _chernoff(alphas, betas, s_opt, improved)

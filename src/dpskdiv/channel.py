@@ -221,7 +221,8 @@ def rho_from_doppler(spec: DopplerSpec, quad_order: int = DEFAULT_QUAD_ORDER) ->
     ----------
     spec : DopplerSpec
     quad_order : int
-        Starting Gauss-Legendre nodes per smooth piece, >= 2 and <= 512.
+        Starting Gauss-Legendre nodes per smooth piece, >= 2 and <= 256, so
+        that it can double at least once below the cap.
 
     Returns
     -------
@@ -240,8 +241,9 @@ def rho_from_doppler(spec: DopplerSpec, quad_order: int = DEFAULT_QUAD_ORDER) ->
     quad_order = int(quad_order)
     if quad_order < 2:
         raise ConfigError(f"quad_order={quad_order} must be >= 2")
-    if quad_order > RHO_ORDER_CAP:
-        raise ConfigError(f"quad_order={quad_order} exceeds the order cap {RHO_ORDER_CAP}")
+    if 2 * quad_order > RHO_ORDER_CAP:
+        raise ConfigError(f"quad_order={quad_order} must be <= {RHO_ORDER_CAP // 2}, leaving room "
+                          f"for one doubling below the order cap {RHO_ORDER_CAP}")
     cov, edges = _covariance(spec)
     n = quad_order
     previous, last = None, _rho_at(cov, edges, n)

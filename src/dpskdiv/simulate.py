@@ -180,15 +180,10 @@ def estimate_bep(cfg: DiversityConfig, trials: int, seed: int, workers: int = 1,
     errors = 0
     done = 0
     early = False
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         for wave_start in range(0, n_batches, workers):
             wave = range(wave_start, min(wave_start + workers, n_batches))
-            if pool is None:
-                counts = [run_batch(b) for b in wave]
-            else:
-                counts = list(pool.map(run_batch, wave))
-            errors += sum(counts)
+            errors += sum(pool.map(run_batch, wave))
             done = min((wave[-1] + 1) * TRIALS_PER_BATCH, trials)
             if stop_rel_tol is not None and errors >= _MIN_ERRORS_FOR_STOP:
                 p = errors / done
@@ -196,9 +191,6 @@ def estimate_bep(cfg: DiversityConfig, trials: int, seed: int, workers: int = 1,
                 if ci < stop_rel_tol * p:
                     early = True
                     break
-    finally:
-        if pool is not None:
-            pool.shutdown()
     p_hat = errors / done
     ci = 1.96 * math.sqrt(p_hat * (1.0 - p_hat) / done)
     return BepEstimate(errors=errors, trials=done, p_hat=p_hat, ci95_halfwidth=ci,

@@ -1,5 +1,7 @@
+import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -183,3 +185,56 @@ def test_result_invariants_random_configs():
         assert 0.0 < rs.s_opt < s_hi
         raw = chernoff_suboptimum(sub_cfg(*pairs), improved=False)
         assert 0.0 < raw.bound <= 1.0
+
+
+# ----------------------------------------------------------------- precision
+# Both bounds against references worked in 60-digit mpmath from the float
+# inputs, where rho -> 1 at high SNR makes 1 + gamma - rho gamma and
+# 1 - (rho gamma / (1 + gamma))^2 cancel in double precision.
+
+PRECISION_PAIRS = list(itertools.product((0.975, 1.0 - 1e-6, 1.0 - 1e-9, 1.0),
+                                         (1.0, 1e4, 1e8, 1e10)))
+
+
+def precision_configs(l):
+    # every (rho, gamma) pair leads once, the others stepped through the grid
+    n = len(PRECISION_PAIRS)
+    return [tuple(PRECISION_PAIRS[(k + 5 * m) % n] for m in range(l)) for k in range(n)]
+
+
+def mp_optimum_bound(pairs):
+    with mpmath.workdps(60):
+        mp = [(mpmath.mpf(r), mpmath.mpf(g)) for r, g in pairs]
+        return mpmath.fprod(1 - (r * g / (1 + g)) ** 2 for r, g in mp)
+
+
+def mp_suboptimum_bound(pairs):
+    with mpmath.workdps(60):
+        mp = [(mpmath.mpf(r), mpmath.mpf(g)) for r, g in pairs]
+        poles = [(1 + g + r * g, 1 + g - r * g) for r, g in mp]
+
+        def deriv(s):
+            return mpmath.fsum(4 * b / (1 - 4 * s * b) - 4 * a / (1 + 4 * s * a) for a, b in poles)
+
+        lo, hi = mpmath.mpf(0), 1 / (4 * max(b for _, b in poles))
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            if deriv(mid) > 0:
+                hi = mid
+            else:
+                lo = mid
+        s = (lo + hi) / 2
+        return mpmath.fprod(1 / ((1 + 4 * s * a) * (1 - 4 * s * b)) for a, b in poles)
+
+
+@pytest.mark.parametrize("l", [2, 3])
+def test_bounds_match_mpmath_near_unit_rho(l):
+    worst = 0.0
+    for pairs in precision_configs(l):
+        for bound, cfg, reference in (
+                (chernoff_optimum, opt_cfg(*pairs), mp_optimum_bound(pairs)),
+                (chernoff_suboptimum, sub_cfg(*pairs), mp_suboptimum_bound(pairs))):
+            for improved, scale in ((False, 1.0), (True, 0.5)):
+                got = bound(cfg, improved=improved).bound
+                worst = max(worst, float(abs(got - scale * reference) / (scale * reference)))
+    assert worst < 1e-13

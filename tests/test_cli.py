@@ -8,7 +8,8 @@ import pytest
 
 import dpskdiv
 
-from dpskdiv.cli import CSV_HEADER, format_row, main, parse_rows
+from dpskdiv import ConfigError, Detector
+from dpskdiv.cli import CSV_HEADER, SweepSpec, format_row, main, parse_rows, sweep_rows
 
 
 def run_cli(capsys, *argv):
@@ -162,6 +163,14 @@ def test_sweep_rejects_mc_output(capsys):
     code, _, _ = run_cli(capsys, "sweep", "--gamma-b-db-range", "0:5:5",
                          "--eta", "0.1", "--rho", "0.975", "--outputs", "mc")
     assert code == 2
+
+
+def test_sweep_rows_mc_requires_seed():
+    spec = SweepSpec(gamma_start=10.0, gamma_stop=10.0, gamma_step=1.0, etas=(0.1,),
+                     rhos=(0.975,), detectors=(Detector.OPTIMUM,), outputs=("mc",),
+                     mc_trials=100)
+    with pytest.raises(ConfigError, match="seed"):
+        sweep_rows(spec)
 
 
 def test_sweep_missing_required_option(capsys):
@@ -411,7 +420,12 @@ def test_usage_error_returns_code_two(capsys, argv):
     (["bep", "--gamma-db", "10", "--config", "{cfg}"], ["--rho", "abc"]),
     (["doppler-rho", "--spectrum", "tabulated", "--table", "{table}"],
      ["{table}:2", "0.5 x"]),
-], ids=["rho", "trials", "detector", "spectrum", "range", "config-file", "table-line"])
+    (["bep", "--rho", "0.9", "--gamma-db", "10", "--bound", "exact"], ["--bound", "exact"]),
+    (["bep", "--rho", "0.9", "--gamma-db", "10", "--bound", "mc"], ["--bound", "mc"]),
+    (["doppler-rho", "--spectrum", "jakes", "--fdt", "0.05", "--quad-order", "512"],
+     ["quad_order=512", "256"]),
+], ids=["rho", "trials", "detector", "spectrum", "range", "config-file", "table-line",
+        "bound-exact", "bound-mc", "quad-order"])
 def test_bad_value_error_names_it(capsys, tmp_path, argv, named):
     files = {"cfg": tmp_path / "bad.cfg", "table": tmp_path / "bad.txt"}
     files["cfg"].write_text("rho = abc\n")

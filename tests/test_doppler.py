@@ -163,10 +163,10 @@ def test_table_only_for_tabulated():
 
 
 def test_bad_quad_order():
-    with pytest.raises(ConfigError):
-        rho_from_doppler(DopplerSpec(SpectrumKind.JAKES, 0.05), quad_order=1)
-    with pytest.raises(ConfigError):
-        rho_from_doppler(DopplerSpec(SpectrumKind.JAKES, 0.05), quad_order=1024)
+    # a start above 256 could not double once below the cap of 512
+    for order in (1, 257, 512, 1024):
+        with pytest.raises(ConfigError):
+            rho_from_doppler(DopplerSpec(SpectrumKind.JAKES, 0.05), quad_order=order)
 
 
 def test_negative_fdt_rejected():
