@@ -9,8 +9,7 @@ observe is the one channel model: it maps pre-drawn standard normals to
 matched-filter outputs, and decide is the sign detector.  The batch kernel
 runs exactly these two functions, so the tests that check the fading
 correlation, the noise power and the detector check the code that
-estimate_bep runs.  loglik_metric is the maximum-likelihood reference the
-sign detector is tested against; the kernel never calls it.
+estimate_bep runs.
 
 Reproducibility contract
 ------------------------
@@ -18,21 +17,24 @@ Trials are split into fixed-size batches of TRIALS_PER_BATCH.  Batch b is
 generated from its own counter-based stream, Philox keyed by the 64-bit
 seed with counter b << 64, so any assignment of batches to workers yields
 the same totals.  Within a batch the draw order is: one uniform per trial
-for the data bits, then a (trials, L, 8) uniform block, columns 0:4 for the
-fading pair and 4:8 for the noise, mapped to normals by Box-Muller on
-consecutive pairs.  Changing TRIALS_PER_BATCH changes the stream layout and
-therefore the estimates; it is a contract constant, not a tuning knob.
+for the data bits, then a (trials, L, 8) block of numpy's ziggurat
+standard_normal, columns 0:4 for the fading pair and 4:8 for the noise
+(stream v2).  The ziggurat's tables belong to numpy, so the stream is
+pinned to numpy's Generator.standard_normal as well as to Philox.
+Changing TRIALS_PER_BATCH changes the stream layout and therefore the
+estimates; it is a contract constant, not a tuning knob.
 
 The kernel draws and processes a batch's block in consecutive sub-blocks of
-trials, reusing one buffer.  Philox filling consecutive slices continues the
-same stream, so the sub-blocks hold exactly the numbers of one whole-batch
-draw: the sub-block size bounds the memory per batch and is not a contract
+trials, reusing one buffer.  Filling consecutive slices continues the same
+stream, so the sub-blocks hold exactly the numbers of one whole-batch draw:
+the sub-block size bounds the memory per batch and is not a contract
 constant.
 """
 
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -56,21 +58,6 @@ class BepEstimate:
     seed: int
     detector: Detector
     early_stopped: bool = False
-
-
-def _normals(u: np.ndarray) -> np.ndarray:
-    """Box-Muller on consecutive pairs along the last axis (even length).
-
-    Works in place and returns u: r cos(theta) overwrites the even columns
-    and r sin(theta) the odd ones.
-    """
-    r = np.sqrt(-2.0 * np.log(1.0 - u[..., 0::2]))
-    theta = 2.0 * np.pi * u[..., 1::2]
-    np.cos(theta, out=u[..., 0::2])
-    u[..., 0::2] *= r
-    np.sin(theta, out=u[..., 1::2])
-    u[..., 1::2] *= r
-    return u
 
 
 def observe(g: np.ndarray, rho, r0, rot):
@@ -103,31 +90,15 @@ def decide(z_prev: np.ndarray, z_curr: np.ndarray, weights) -> np.ndarray:
     return stat < 0.0
 
 
-def loglik_metric(z_prev: np.ndarray, z_curr: np.ndarray, rho, r0, m: int):
-    """Log-likelihood of (..., L) outputs under phase difference pi*m.
-
-    Sums over the last axis, per branch, the log density of z_curr
-    conditioned on z_prev (a complex Gaussian whose mean is proportional to
-    z_prev rotated by the hypothesis) plus the marginal log density of
-    z_prev, with eb = n0 = 1; the hypothesis-independent constant is
-    dropped.
-    """
-    if m not in (0, 1):
-        raise ConfigError(f"hypothesis m must be 0 or 1, got {m}")
-    sign = 1.0 if m == 0 else -1.0
-    r1 = rho * r0
-    s2 = 2.0 * r0 + 1.0
-    mean_coef = 2.0 * r1 / s2
-    var_c = s2 - (2.0 * r1) ** 2 / s2
-    diff = z_curr - sign * mean_coef * z_prev
-    return np.sum(-np.log(np.pi * var_c) - np.abs(diff) ** 2 / var_c
-                  - np.log(np.pi * s2) - np.abs(z_prev) ** 2 / s2, axis=-1)
-
-
 def _detector_weights(cfg: DiversityConfig) -> np.ndarray:
     if cfg.detector is Detector.OPTIMUM:
         return np.array(optimum_weights(cfg.branches))
     return np.ones(len(cfg.branches))
+
+
+def _ci95(errors: int, trials: int) -> float:
+    p = errors / trials
+    return 1.96 * math.sqrt(p * (1.0 - p) / trials)
 
 
 def _batch_rng(seed: int, batch: int) -> np.random.Generator:
@@ -142,7 +113,7 @@ def _count_errors(rng: np.random.Generator, n: int, rho: np.ndarray, r0: np.ndar
     errors = 0
     for s in range(0, n, _SUB_BLOCK):
         m = min(_SUB_BLOCK, n - s)
-        g = _normals(rng.random(out=u[:m]))
+        g = rng.standard_normal(out=u[:m])
         z_prev, z_curr = observe(g, rho, r0, rot[s:s + m])
         errors += int(np.count_nonzero(decide(z_prev, z_curr, weights) != bits[s:s + m]))
     return errors
@@ -152,10 +123,11 @@ def estimate_bep(cfg: DiversityConfig, trials: int, seed: int, workers: int = 1,
                  stop_rel_tol: Optional[float] = None) -> BepEstimate:
     """Estimate the bit error probability by simulating random bits.
 
-    Batch totals are worker-count invariant; with stop_rel_tol set, the run
-    ends once the 95% half-width drops below stop_rel_tol * p_hat with at
-    least 100 errors seen, checked after each wave of `workers` batches, so
-    early-stopped results depend on the worker count and are flagged.
+    Batch totals are worker-count invariant.  With stop_rel_tol set, the run
+    ends after the first batch, in batch order, at which the 95% half-width
+    is below stop_rel_tol * p_hat with at least 100 errors seen; batches
+    after it that a wave already ran are dropped, so an early-stopped result
+    is also the same for every worker count, and it is flagged.
     """
     cfg = validate_config(cfg)
     trials = int(trials)
@@ -177,21 +149,17 @@ def estimate_bep(cfg: DiversityConfig, trials: int, seed: int, workers: int = 1,
         size = min(TRIALS_PER_BATCH, trials - b * TRIALS_PER_BATCH)
         return _count_errors(_batch_rng(seed, b), size, rho, r0, weights)
 
-    errors = 0
-    done = 0
+    errors = done = 0
     early = False
+    waves = (range(s, min(s + workers, n_batches)) for s in range(0, n_batches, workers))
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        for wave_start in range(0, n_batches, workers):
-            wave = range(wave_start, min(wave_start + workers, n_batches))
-            errors += sum(pool.map(run_batch, wave))
-            done = min((wave[-1] + 1) * TRIALS_PER_BATCH, trials)
-            if stop_rel_tol is not None and errors >= _MIN_ERRORS_FOR_STOP:
-                p = errors / done
-                ci = 1.96 * math.sqrt(p * (1.0 - p) / done)
-                if ci < stop_rel_tol * p:
-                    early = True
-                    break
-    p_hat = errors / done
-    ci = 1.96 * math.sqrt(p_hat * (1.0 - p_hat) / done)
-    return BepEstimate(errors=errors, trials=done, p_hat=p_hat, ci95_halfwidth=ci,
-                       seed=seed, detector=cfg.detector, early_stopped=early)
+        for b, batch_errors in chain.from_iterable(zip(w, pool.map(run_batch, w)) for w in waves):
+            errors += batch_errors
+            done = min((b + 1) * TRIALS_PER_BATCH, trials)
+            if (stop_rel_tol is not None and errors >= _MIN_ERRORS_FOR_STOP
+                    and _ci95(errors, done) < stop_rel_tol * (errors / done)):
+                early = True
+                break
+    return BepEstimate(errors=errors, trials=done, p_hat=errors / done,
+                       ci95_halfwidth=_ci95(errors, done), seed=seed,
+                       detector=cfg.detector, early_stopped=early)

@@ -209,6 +209,17 @@ def test_simulate_worker_invariance(capsys):
     assert one == four
 
 
+def test_simulate_early_stop_worker_invariance(capsys):
+    # the rule holds after the first of eight batches at this point
+    base = ("simulate", "--gamma-b-db-range", "12:12:1", "--eta", "0.2",
+            "--rho", "0.9", "--detector", "optimum", "--trials", "1000000",
+            "--seed", "5", "--stop-rel-tol", "0.05")
+    _, one, _ = run_cli(capsys, *base, "--workers", "1")
+    _, three, _ = run_cli(capsys, *base, "--workers", "3")
+    assert one == three
+    assert one.splitlines()[1].split(",")[-2] == "131072"  # the trials column
+
+
 def test_simulate_requires_trials(capsys):
     code, _, err = run_cli(capsys, "simulate", "--gamma-b-db-range", "10:10:1",
                            "--eta", "0.1", "--rho", "0.975")

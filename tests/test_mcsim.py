@@ -14,12 +14,14 @@ from dpskdiv import (
     optimum_weights,
 )
 from dpskdiv import simulate
-from dpskdiv.simulate import _batch_rng, _normals, decide, loglik_metric, observe
+from dpskdiv.simulate import _batch_rng, decide, observe
+
+from ml_reference import loglik_metric
 
 
 def normals(seed, n, l=1):
     """The kernel's (n, L, 8) block of standard normals."""
-    return _normals(np.random.default_rng(seed).random((n, l, 8)))
+    return np.random.default_rng(seed).standard_normal((n, l, 8))
 
 
 def fading(seed, n, br):
@@ -170,7 +172,7 @@ def test_loglik_argmax_matches_sign_decision():
     n = 10**5
     rng = np.random.default_rng(20)
     bits = rng.random(n) < 0.5
-    g = _normals(rng.random((n, len(branches), 8)))
+    g = rng.standard_normal((n, len(branches), 8))
     z_prev, z_curr = observe(g, rho, r0, np.where(bits, -1.0, 1.0)[:, None])
     m0 = loglik_metric(z_prev, z_curr, rho, r0, 0)
     m1 = loglik_metric(z_prev, z_curr, rho, r0, 1)
@@ -229,6 +231,18 @@ def test_estimate_early_stop():
     assert est.ci95_halfwidth < 0.5 * est.p_hat
 
 
+def test_estimate_early_stop_worker_invariant():
+    # the rule holds after the first batch; waves of 2 and 3 batches run the
+    # batches after it too, and must drop them
+    cfg = DiversityConfig((BranchParams(0.975, 3.162), BranchParams(0.9, 28.46)),
+                          Detector.OPTIMUM)
+    serial = estimate_bep(cfg, 10**7, seed=5, workers=1, stop_rel_tol=0.05)
+    assert serial.early_stopped
+    assert serial.trials == simulate.TRIALS_PER_BATCH
+    for workers in (2, 3):
+        assert estimate_bep(cfg, 10**7, seed=5, workers=workers, stop_rel_tol=0.05) == serial
+
+
 GOLDEN_BRANCHES = {
     1: [(0.975, 10.0)],
     2: [(0.975, 3.162), (0.9, 28.46)],
@@ -236,16 +250,16 @@ GOLDEN_BRANCHES = {
     8: [(0.8, 0.3), (0.85, 0.5), (0.88, 0.8), (0.9, 1.0),
         (0.92, 1.5), (0.94, 2.0), (0.96, 3.0), (0.98, 4.0)],
 }
-# errors for (L, detector, trials) at seed 2024 + L; 200 000 trials end
+# stream v2 errors for (L, detector, trials) at seed 2024 + L; 200 000 trials end
 # mid-batch and 262 144 = 2 * 2**17 end on a batch boundary
 GOLDEN_ERRORS = {
-    (1, Detector.OPTIMUM, 200_000): 11358, (1, Detector.OPTIMUM, 262_144): 14805,
-    (1, Detector.SUBOPTIMUM, 200_000): 11358, (1, Detector.SUBOPTIMUM, 262_144): 14805,
-    (2, Detector.OPTIMUM, 200_000): 4832, (2, Detector.OPTIMUM, 262_144): 6242,
-    (2, Detector.SUBOPTIMUM, 200_000): 6141, (2, Detector.SUBOPTIMUM, 262_144): 7965,
-    (4, Detector.OPTIMUM, 200_000): 11, (4, Detector.OPTIMUM, 262_144): 19,
-    (4, Detector.SUBOPTIMUM, 200_000): 27, (4, Detector.SUBOPTIMUM, 262_144): 34,
-    (8, Detector.OPTIMUM, 200_000): 1563, (8, Detector.SUBOPTIMUM, 200_000): 1751,
+    (1, Detector.OPTIMUM, 200_000): 11524, (1, Detector.OPTIMUM, 262_144): 14926,
+    (1, Detector.SUBOPTIMUM, 200_000): 11524, (1, Detector.SUBOPTIMUM, 262_144): 14926,
+    (2, Detector.OPTIMUM, 200_000): 4730, (2, Detector.OPTIMUM, 262_144): 6273,
+    (2, Detector.SUBOPTIMUM, 200_000): 6179, (2, Detector.SUBOPTIMUM, 262_144): 8095,
+    (4, Detector.OPTIMUM, 200_000): 15, (4, Detector.OPTIMUM, 262_144): 26,
+    (4, Detector.SUBOPTIMUM, 200_000): 33, (4, Detector.SUBOPTIMUM, 262_144): 47,
+    (8, Detector.OPTIMUM, 200_000): 1519, (8, Detector.SUBOPTIMUM, 200_000): 1727,
 }
 
 
@@ -275,7 +289,7 @@ def test_sub_blocks_match_one_draw(monkeypatch, n):
     for weights in weight_kinds:
         ref = _batch_rng(77, 3)
         bits = ref.random(n) < 0.5
-        g = _normals(ref.random((n, len(rho), 8)))
+        g = ref.standard_normal((n, len(rho), 8))
         z_prev, z_curr = observe(g, rho, r0, np.where(bits, -1.0, 1.0)[:, None])
         expect = int(np.count_nonzero(decide(z_prev, z_curr, weights) != bits))
         rng = _batch_rng(77, 3)
@@ -316,7 +330,7 @@ def test_bit_symmetry():
     rng = np.random.default_rng(21)
     rates = []
     for rot, sent in ((1.0, 0), (-1.0, 1)):
-        g = _normals(rng.random((n, len(br), 8)))
+        g = rng.standard_normal((n, len(br), 8))
         detected = decide(*observe(g, rho, r0, rot), weights)
         rates.append(float(np.mean(detected != sent)))
     p0, p1 = rates
