@@ -25,7 +25,6 @@ from .channel import (
     validate_config,
 )
 from .errors import ConfigError, ConvergenceError
-from .special import bessel_j0
 
 __version__ = "0.1.0"
 
@@ -39,7 +38,6 @@ __all__ = [
     "DiversityConfig",
     "DopplerSpec",
     "SpectrumKind",
-    "bessel_j0",
     "chernoff_optimum",
     "chernoff_suboptimum",
     "estimate_bep",

@@ -13,6 +13,14 @@ with all lags expressed in bit durations.  u - v has the triangular density
 [j - 1, j + 1], a 1-D integral.  Its integrand creases only at s = 0, at
 s = j and at the knots of a tabulated covariance; rho_from_doppler splits the
 range there and runs a Gauss-Legendre rule, in pure Python, on each piece.
+
+The Jakes covariance J0(w s), w = 2 pi fdT, is the m-interval trapezoid rule
+on J0(x) = (2/pi) int_0^{pi/2} cos(x sin t) dt (Abramowitz & Stegun 9.1.18).
+The integrand is periodic and analytic, so the rule converges geometrically
+(Trefethen & Weideman, SIAM Rev. 56(3), 2014): its aliasing error is about
+2 J_4m(x), below rounding once 4m exceeds the largest argument, 2w, by ~24.
+m is capped so that the cost stays bounded; the rule is exact to w = 2048,
+beyond what RHO_ORDER_CAP Gauss-Legendre nodes can resolve anyway.
 """
 
 import bisect
@@ -23,7 +31,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 from .errors import ConfigError, ConvergenceError
-from .special import bessel_j0
 
 _LN2 = math.log(2.0)
 
@@ -107,8 +114,8 @@ def validate_config(cfg: DiversityConfig) -> DiversityConfig:
 def _validate_spec(spec: DopplerSpec) -> None:
     if not isinstance(spec.kind, SpectrumKind):
         raise ConfigError(f"unknown spectrum kind {spec.kind!r}")
-    if not math.isfinite(spec.fdt) or spec.fdt < 0.0:
-        raise ConfigError(f"fdT={spec.fdt} must be finite and >= 0")
+    if not (spec.fdt >= 0.0 and math.isfinite(2.0 * math.pi * spec.fdt)):
+        raise ConfigError(f"fdT={spec.fdt} must be >= 0, with 2*pi*fdT finite")
     if (spec.kind is SpectrumKind.TABULATED) != (spec.table is not None):
         raise ConfigError("a covariance table is required for (and only for) the tabulated spectrum")
     if spec.table is None:
@@ -136,11 +143,16 @@ def _covariance(spec: DopplerSpec):
     fdt = spec.fdt
     edges = (0.0, 1.0, 2.0)
     if spec.kind is SpectrumKind.JAKES:
-        return (lambda s: bessel_j0(2.0 * math.pi * fdt * s)), edges
+        w = 2.0 * math.pi * fdt
+        m = int(min(w, 4 * RHO_ORDER_CAP)) + 6
+        a = [w * math.sin(math.pi * k / (2 * m)) for k in range(1, m)]
+        return (lambda s: (1.0 + math.cos(w * s) + 2.0 * sum([math.cos(ak * s) for ak in a]))
+                / (2 * m)), edges
     if spec.kind is SpectrumKind.GAUSSIAN:
         # Gaussian spectrum with fdT read as the half-power half-width, so
         # r(tau) = exp(-(pi*fdT*tau)^2 / ln 2).
-        c = (math.pi * fdt) ** 2 / _LN2
+        # a product: ** 2 raises OverflowError from fdT ~ 4e153
+        c = (math.pi * fdt) * (math.pi * fdt) / _LN2
         return (lambda s: math.exp(-c * s * s)), edges
     if spec.kind is SpectrumKind.RECTANGULAR:
         w = 2.0 * math.pi * fdt
@@ -204,7 +216,9 @@ def _rho_at(cov, edges, n: int) -> float:
             c = half * w * cov(s)
             r0.append(2.0 * max(0.0, 1.0 - s) * c)
             r1.append((1.0 - abs(s - 1.0)) * c)
-    return math.fsum(r1) / math.fsum(r0)
+    # R(0) underflows to 0 for a Gaussian with fdT in the thousands: nan never converges
+    r0 = math.fsum(r0)
+    return math.fsum(r1) / r0 if r0 else math.nan
 
 
 def rho_from_doppler(spec: DopplerSpec, quad_order: int = DEFAULT_QUAD_ORDER) -> float:
@@ -232,10 +246,12 @@ def rho_from_doppler(spec: DopplerSpec, quad_order: int = DEFAULT_QUAD_ORDER) ->
     Raises
     ------
     ConfigError
-        Invalid spectrum description or quad_order out of range.
+        Invalid spectrum description (2*pi*fdT not finite, too) or
+        quad_order out of range.
     ConvergenceError
-        Tolerance not reached by the cap, which takes fdT in the hundreds;
-        carries the last two estimates as .last and .previous.
+        Tolerance not reached by the cap, which takes fdT in the hundreds, or
+        R(0) underflowing to 0 (Gaussian, fdT in the thousands); carries the
+        last two estimates as .last and .previous.
     """
     _validate_spec(spec)
     quad_order = int(quad_order)

@@ -316,6 +316,8 @@ def cmd_bep(args: argparse.Namespace) -> int:
     if (args.gamma_db is None) == (args.gamma_b_db is None):
         raise ConfigError("pass either --gamma-db (per branch) or --gamma-b-db with --eta")
     if args.gamma_db is not None:
+        if args.eta is not None:
+            raise ConfigError("--eta splits --gamma-b-db and cannot go with --gamma-db")
         gammas = [db_to_linear(db) for db in args.gamma_db]
         total_db = 10.0 * math.log10(sum(gammas)) if sum(gammas) > 0 else None
         eta = None
@@ -361,15 +363,11 @@ def cmd_grid(args: argparse.Namespace) -> int:
 
 
 def cmd_doppler_rho(args: argparse.Namespace) -> int:
-    table, fdt = None, args.fdt
-    if args.spectrum is SpectrumKind.TABULATED:
-        if args.table is None:
-            raise ConfigError("tabulated spectrum requires --table FILE")
-        table = _read_table(args.table)
-        fdt = 0.0 if fdt is None else fdt
-    elif fdt is None:
+    if args.fdt is None and args.spectrum is not SpectrumKind.TABULATED:
         raise ConfigError("missing required option --fdt")
-    spec = DopplerSpec(kind=args.spectrum, fdt=fdt, table=table)
+    # rho_from_doppler rejects a table given with another spectrum, or missing
+    table = None if args.table is None else _read_table(args.table)
+    spec = DopplerSpec(args.spectrum, 0.0 if args.fdt is None else args.fdt, table)
     print("%.11e" % rho_from_doppler(spec, quad_order=args.quad_order))
     return 0
 

@@ -1,73 +1,82 @@
+"""The Jakes covariance r(s) = J0(2 pi fdT s) that channel._covariance builds,
+against mpmath's J0 over the lags s in [0, 2] that the rho quadrature uses."""
+
 import math
 
 import mpmath
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpskdiv import bessel_j0
+from dpskdiv import DopplerSpec, SpectrumKind
+from dpskdiv.channel import _covariance
+
+J0_FIRST_ZERO = 2.404825557695773
 
 
-def j0_oracle(x):
-    """Power series summed at 60 digits; good far beyond 1e-12 for |x| <= 50."""
-    with mpmath.workdps(60):
-        q = (mpmath.mpf(x) / 2) ** 2
-        total = mpmath.mpf(1)
-        term = mpmath.mpf(1)
-        k = 0
-        while True:
-            k += 1
-            term = -term * q / (k * k)
-            total += term
-            if abs(term) < mpmath.mpf(10) ** -50 and k > 5:
-                return float(total)
+def jakes(fdt):
+    return _covariance(DopplerSpec(SpectrumKind.JAKES, fdt))[0]
+
+
+def j0_oracle(fdt, s):
+    """J0(2 pi fdT s) at 40 digits, with fdT and s taken exactly as given."""
+    with mpmath.workdps(40):
+        return float(mpmath.besselj(0, 2 * mpmath.pi * mpmath.mpf(fdt) * mpmath.mpf(s)))
+
+
+def worst_error(fdts, lags_per_fdt, seed):
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for fdt in fdts:
+        cov = jakes(fdt)
+        worst = max([worst] + [abs(cov(s) - j0_oracle(fdt, s))
+                               for s in rng.uniform(0.0, 2.0, lags_per_fdt)])
+    return worst
 
 
 def test_at_zero():
-    assert bessel_j0(0.0) == 1.0
+    for fdt in (0.0, 0.05, 3.0, 50.0):
+        assert jakes(fdt)(0.0) == 1.0
 
 
 def test_at_one():
-    assert abs(bessel_j0(1.0) - 0.7651976865579666) < 1e-12
+    fdt = 1.0 / (2.0 * math.pi)
+    assert abs(jakes(fdt)(1.0) - 0.7651976865579666) < 1e-14
 
 
 def test_first_zero():
-    assert abs(bessel_j0(2.4048255577)) < 1e-9
+    fdt = 1.0 / (2.0 * math.pi)
+    assert abs(jakes(fdt)(J0_FIRST_ZERO)) < 1e-14
 
 
 def test_even():
-    for x in (0.3, 5.0, 17.2, 41.0):
-        assert bessel_j0(-x) == bessel_j0(x)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_non_finite_rejected(bad):
-    with pytest.raises(ValueError):
-        bessel_j0(bad)
+    cov = jakes(3.0)
+    for s in (0.3, 0.9, 1.4, 2.0):
+        assert cov(-s) == cov(s)
 
 
 def test_oracle_agreement_low_range():
-    rng = np.random.default_rng(20240817)
-    xs = rng.uniform(0.0, 20.0, 1000)
-    worst = max(abs(bessel_j0(x) - j0_oracle(x)) for x in xs)
-    assert worst < 1e-12
+    # fdT <= 5: measured worst 1.4e-15
+    worst = worst_error(np.random.default_rng(20240817).uniform(0.0, 5.0, 40), 25, 1)
+    assert worst < 5e-15
 
 
 def test_oracle_agreement_high_range():
-    rng = np.random.default_rng(20240818)
-    xs = rng.uniform(20.0, 50.0, 300)
-    worst = max(abs(bessel_j0(x) - j0_oracle(x)) for x in xs)
-    assert worst < 1e-12
+    # 5 < fdT <= 50, arguments up to 630: measured worst 5.5e-15, from the
+    # rounding of the arguments a_k * s
+    worst = worst_error(np.random.default_rng(20240818).uniform(5.0, 50.0, 12), 25, 2)
+    assert worst < 1e-14
 
 
 def test_crossover_continuity():
-    # both evaluation regimes must agree near the series/asymptotic switch
-    for x in np.linspace(11.5, 12.5, 101):
-        assert abs(bessel_j0(x) - j0_oracle(x)) < 1e-12
+    # w*s in 10..14, where the former series and asymptotic J0 met with 8.2e-13
+    for fdt in (1.0, 3.0):
+        cov, w = jakes(fdt), 2.0 * math.pi * fdt
+        for x in np.linspace(10.0, 14.0, 101):
+            assert abs(cov(x / w) - j0_oracle(fdt, x / w)) < 1e-14
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.floats(min_value=0.0, max_value=50.0, allow_nan=False))
-def test_oracle_agreement_property(x):
-    assert abs(bessel_j0(x) - j0_oracle(x)) < 1e-12
+@given(st.floats(min_value=0.0, max_value=50.0), st.floats(min_value=0.0, max_value=2.0))
+def test_oracle_agreement_property(fdt, s):
+    assert abs(jakes(fdt)(s) - j0_oracle(fdt, s)) < 1e-14

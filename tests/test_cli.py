@@ -285,11 +285,13 @@ def test_doppler_rho_kinked_table_exit_code(capsys, tmp_path):
 
 
 def test_doppler_rho_extreme_fdt_exit_code(capsys):
-    code, out, err = run_cli(capsys, "doppler-rho", "--spectrum", "rectangular",
-                             "--fdt", "200")
-    assert code == 3
-    assert out == ""
-    assert "not converged" in err
+    # gaussian at fdT = 2000: R(0) underflows to 0 on the coarse rules
+    for spectrum, fdt in (("rectangular", "200"), ("gaussian", "2000")):
+        code, out, err = run_cli(capsys, "doppler-rho", "--spectrum", spectrum, "--fdt", fdt)
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert "not converged" in err
 
 
 def test_doppler_rho_missing_table(capsys):
@@ -435,12 +437,19 @@ def test_usage_error_returns_code_two(capsys, argv):
     (["bep", "--rho", "0.9", "--gamma-db", "10", "--bound", "mc"], ["--bound", "mc"]),
     (["doppler-rho", "--spectrum", "jakes", "--fdt", "0.05", "--quad-order", "512"],
      ["quad_order=512", "256"]),
+    (["doppler-rho", "--spectrum", "jakes", "--fdt", "0.05", "--table", "{flat}"],
+     ["covariance table", "tabulated"]),
+    (["doppler-rho", "--spectrum", "tabulated"], ["covariance table", "tabulated"]),
+    (["bep", "--gamma-db", "10", "--eta", "0.3", "--rho", "0.9"], ["--eta", "--gamma-db"]),
 ], ids=["rho", "trials", "detector", "spectrum", "range", "config-file", "table-line",
-        "bound-exact", "bound-mc", "quad-order"])
+        "bound-exact", "bound-mc", "quad-order", "table-not-tabulated", "tabulated-no-table",
+        "eta-with-gamma-db"])
 def test_bad_value_error_names_it(capsys, tmp_path, argv, named):
-    files = {"cfg": tmp_path / "bad.cfg", "table": tmp_path / "bad.txt"}
+    files = {"cfg": tmp_path / "bad.cfg", "table": tmp_path / "bad.txt",
+             "flat": tmp_path / "flat.txt"}
     files["cfg"].write_text("rho = abc\n")
     files["table"].write_text("0 1\n0.5 x\n2 1\n")
+    files["flat"].write_text("0 1\n2.5 1\n")
     code, out, err = run_cli(capsys, *[a.format(**files) for a in argv])
     assert code == 2
     assert out == ""
