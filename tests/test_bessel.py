@@ -5,10 +5,11 @@ import math
 
 import mpmath
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dpskdiv import DopplerSpec, SpectrumKind
+from dpskdiv import DopplerSpec, SpectrumKind, rho_from_doppler
 from dpskdiv.channel import _covariance
 
 J0_FIRST_ZERO = 2.404825557695773
@@ -53,6 +54,13 @@ def test_even():
     cov = jakes(3.0)
     for s in (0.3, 0.9, 1.4, 2.0):
         assert cov(-s) == cov(s)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_rejected(bad):
+    # ConfigError, a ValueError, before any covariance is built
+    with pytest.raises(ValueError, match="fdT"):
+        rho_from_doppler(DopplerSpec(SpectrumKind.JAKES, bad))
 
 
 def test_oracle_agreement_low_range():
