@@ -22,7 +22,6 @@ from .channel import (
     DopplerSpec,
     SpectrumKind,
     rho_from_doppler,
-    validate_config,
 )
 from .errors import ConfigError, ConvergenceError
 
@@ -45,7 +44,6 @@ __all__ = [
     "optimum_weights",
     "power_split",
     "rho_from_doppler",
-    "validate_config",
 ]
 
 

@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from .channel import BranchParams, Detector, DiversityConfig, validate_branches, validate_config
+from .channel import BranchParams, Detector, DiversityConfig, validate_branches
 from .errors import ConfigError
 
 
@@ -96,7 +96,6 @@ def exact_bep(cfg: DiversityConfig) -> float:
     weight contributes nothing to the statistic); if every branch is dropped
     the statistic is identically zero and the result is a coin flip, 0.5.
     """
-    cfg = validate_config(cfg)
     alphas, betas = _poles(cfg)
     if not alphas:
         return 0.5
@@ -148,7 +147,6 @@ def chernoff_optimum(cfg: DiversityConfig, improved: bool = True) -> ChernoffRes
     makes each branch's derivative vanish there.  The bound is then
     prod_i [1 - (rho_i gamma_i / (1 + gamma_i))^2], halved when improved.
     """
-    cfg = validate_config(cfg)
     if cfg.detector is not Detector.OPTIMUM:
         raise ConfigError("chernoff_optimum requires an optimum-detector config")
     alphas, betas = _poles(cfg)
@@ -164,7 +162,6 @@ def chernoff_suboptimum(cfg: DiversityConfig, improved: bool = True) -> Chernoff
     so its analytic derivative is strictly increasing and a bisection on it
     locates the unique minimizer to full precision.
     """
-    cfg = validate_config(cfg)
     if cfg.detector is not Detector.SUBOPTIMUM:
         raise ConfigError("chernoff_suboptimum requires a suboptimum-detector config")
     alphas, betas = _poles(cfg)

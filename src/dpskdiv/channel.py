@@ -1,10 +1,10 @@
 """Diversity-branch parameterization and Doppler-derived fading correlation.
 
 The detectors and all closed-form results depend on the channel only through
-the per-branch pair (rho_i, gamma_i).  This module holds those types, their
-validation, and the map from a Doppler spectrum to rho: the normalized
-covariance r(tau) of the fading process, averaged by the rectangular
-matched filter over two bit windows offset by j bits,
+the per-branch pair (rho_i, gamma_i).  This module holds those types, which
+check themselves when built, and the map from a Doppler spectrum to rho: the
+normalized covariance r(tau) of the fading process, averaged by the
+rectangular matched filter over two bit windows offset by j bits,
 
     R(j) = int_0^1 int_0^1 r(u - v + j) du dv,    rho = R(1) / R(0),
 
@@ -64,13 +64,15 @@ class BranchParams:
 
 @dataclass(frozen=True)
 class DiversityConfig:
-    """Ordered branches plus the detector that combines them."""
+    """Ordered branches plus the detector that combines them, checked when built."""
 
     branches: Tuple[BranchParams, ...]
     detector: Detector
 
     def __post_init__(self):
-        object.__setattr__(self, "branches", tuple(self.branches))
+        object.__setattr__(self, "branches", validate_branches(self.branches))
+        if not isinstance(self.detector, Detector):
+            raise ConfigError(f"unknown detector {self.detector!r}")
 
 
 @dataclass(frozen=True)
@@ -79,12 +81,39 @@ class DopplerSpec:
 
     table: for TABULATED only, (lag, covariance) pairs with lags in bit
     durations, starting at 0 and reaching at least 2; linear interpolation
-    between entries; the covariance is treated as even in the lag.
+    between entries; the covariance is treated as even in the lag.  The table
+    fixes the covariance, so fdT must be 0 with it.  Checked when built.
     """
 
     kind: SpectrumKind
     fdt: float
     table: Optional[Tuple[Tuple[float, float], ...]] = None
+
+    def __post_init__(self):
+        if not isinstance(self.kind, SpectrumKind):
+            raise ConfigError(f"unknown spectrum kind {self.kind!r}")
+        if not (self.fdt >= 0.0 and math.isfinite(2.0 * math.pi * self.fdt)):
+            raise ConfigError(f"fdT={self.fdt} must be >= 0, with 2*pi*fdT finite")
+        if (self.kind is SpectrumKind.TABULATED) != (self.table is not None):
+            raise ConfigError("a covariance table is required for (and only for) the tabulated spectrum")
+        if self.table is None:
+            return
+        if len(self.table) < 2:
+            raise ConfigError("tabulated covariance needs at least two points")
+        lags = [float(p[0]) for p in self.table]
+        vals = [float(p[1]) for p in self.table]
+        if any(not (math.isfinite(l) and math.isfinite(v)) for l, v in zip(lags, vals)):
+            raise ConfigError("tabulated covariance contains non-finite entries")
+        if any(b <= a for a, b in zip(lags, lags[1:])):
+            raise ConfigError("tabulated lags must be strictly increasing")
+        if lags[0] != 0.0 or lags[-1] < 2.0:
+            raise ConfigError("tabulated lags must cover [0, 2] starting at lag 0")
+        if abs(vals[0] - 1.0) > 1e-12:
+            raise ConfigError(f"tabulated covariance must have r(0) = 1, got {vals[0]}")
+        if max(abs(v) for v in vals) > 1.0 + 1e-12:
+            raise ConfigError("tabulated covariance must satisfy |r| <= 1")
+        if self.fdt != 0.0:
+            raise ConfigError(f"fdT={self.fdt} must be 0 for the tabulated spectrum")
 
 
 def validate_branches(branches: Sequence[BranchParams]) -> Tuple[BranchParams, ...]:
@@ -101,39 +130,6 @@ def validate_branches(branches: Sequence[BranchParams]) -> Tuple[BranchParams, .
         if gamma < 0.0:
             raise ConfigError(f"branch {i}: gamma={gamma} is negative")
     return branches
-
-
-def validate_config(cfg: DiversityConfig) -> DiversityConfig:
-    """Return cfg unchanged if every invariant holds, else raise ConfigError."""
-    validate_branches(cfg.branches)
-    if not isinstance(cfg.detector, Detector):
-        raise ConfigError(f"unknown detector {cfg.detector!r}")
-    return cfg
-
-
-def _validate_spec(spec: DopplerSpec) -> None:
-    if not isinstance(spec.kind, SpectrumKind):
-        raise ConfigError(f"unknown spectrum kind {spec.kind!r}")
-    if not (spec.fdt >= 0.0 and math.isfinite(2.0 * math.pi * spec.fdt)):
-        raise ConfigError(f"fdT={spec.fdt} must be >= 0, with 2*pi*fdT finite")
-    if (spec.kind is SpectrumKind.TABULATED) != (spec.table is not None):
-        raise ConfigError("a covariance table is required for (and only for) the tabulated spectrum")
-    if spec.table is None:
-        return
-    if len(spec.table) < 2:
-        raise ConfigError("tabulated covariance needs at least two points")
-    lags = [float(p[0]) for p in spec.table]
-    vals = [float(p[1]) for p in spec.table]
-    if any(not (math.isfinite(l) and math.isfinite(v)) for l, v in zip(lags, vals)):
-        raise ConfigError("tabulated covariance contains non-finite entries")
-    if any(b <= a for a, b in zip(lags, lags[1:])):
-        raise ConfigError("tabulated lags must be strictly increasing")
-    if lags[0] != 0.0 or lags[-1] < 2.0:
-        raise ConfigError("tabulated lags must cover [0, 2] starting at lag 0")
-    if abs(vals[0] - 1.0) > 1e-12:
-        raise ConfigError(f"tabulated covariance must have r(0) = 1, got {vals[0]}")
-    if max(abs(v) for v in vals) > 1.0 + 1e-12:
-        raise ConfigError("tabulated covariance must satisfy |r| <= 1")
 
 
 def _covariance(spec: DopplerSpec):
@@ -246,14 +242,12 @@ def rho_from_doppler(spec: DopplerSpec, quad_order: int = DEFAULT_QUAD_ORDER) ->
     Raises
     ------
     ConfigError
-        Invalid spectrum description (2*pi*fdT not finite, too) or
         quad_order out of range.
     ConvergenceError
         Tolerance not reached by the cap, which takes fdT in the hundreds, or
         R(0) underflowing to 0 (Gaussian, fdT in the thousands); carries the
         last two estimates as .last and .previous.
     """
-    _validate_spec(spec)
     quad_order = int(quad_order)
     if quad_order < 2:
         raise ConfigError(f"quad_order={quad_order} must be >= 2")

@@ -24,7 +24,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field, fields
 from typing import List, Optional, Sequence, Tuple
 
 from .bep import chernoff_optimum, chernoff_suboptimum, db_to_linear, exact_bep, power_split
@@ -39,24 +39,34 @@ from .channel import (
 )
 from .errors import ConfigError, ConvergenceError
 
-CSV_HEADER = "gamma_b_db,eta,rho,detector,exact_bep,bound,mc_p_hat,mc_ci,trials,seed"
 WORKERS_ENV = "DPSKDIV_WORKERS"
 
 _OUTPUT_CHOICES = ("exact", "chernoff", "chernoff_improved", "mc")
 
 
+def _column(fmt: str):
+    """A CSV column: printf format fmt, empty when the value is None."""
+    return field(default=None, metadata={"fmt": fmt})
+
+
 @dataclass(frozen=True)
 class ResultRow:
-    gamma_b_db: Optional[float] = None
-    eta: Optional[float] = None
-    rho: Optional[float] = None
-    detector: str = ""
-    exact_bep: Optional[float] = None
-    bound: Optional[float] = None
-    mc_p_hat: Optional[float] = None
-    mc_ci: Optional[float] = None
-    trials: Optional[int] = None
-    seed: Optional[int] = None
+    gamma_b_db: Optional[float] = _column("%.12g")
+    eta: Optional[float] = _column("%.12g")
+    rho: Optional[float] = _column("%.12g")
+    detector: Optional[str] = _column("%s")
+    exact_bep: Optional[float] = _column("%.9e")
+    bound: Optional[float] = _column("%.9e")
+    mc_p_hat: Optional[float] = _column("%.9e")
+    mc_ci: Optional[float] = _column("%.9e")
+    trials: Optional[int] = _column("%d")
+    seed: Optional[int] = _column("%d")
+
+
+_COLUMNS = fields(ResultRow)
+CSV_HEADER = ",".join(c.name for c in _COLUMNS)
+# the parser of a column, by the conversion letter that ends its format
+_PARSERS = {"g": float, "e": float, "s": str, "d": int}
 
 
 @dataclass(frozen=True)
@@ -76,31 +86,9 @@ class SweepSpec:
     stop_rel_tol: Optional[float] = None
 
 
-def _fmt_coord(v: Optional[float]) -> str:
-    return "" if v is None else "%.12g" % v
-
-
-def _fmt_prob(v: Optional[float]) -> str:
-    return "" if v is None else "%.9e" % v
-
-
-def _fmt_int(v: Optional[int]) -> str:
-    return "" if v is None else str(v)
-
-
 def format_row(row: ResultRow) -> str:
-    return ",".join([
-        _fmt_coord(row.gamma_b_db),
-        _fmt_coord(row.eta),
-        _fmt_coord(row.rho),
-        row.detector,
-        _fmt_prob(row.exact_bep),
-        _fmt_prob(row.bound),
-        _fmt_prob(row.mc_p_hat),
-        _fmt_prob(row.mc_ci),
-        _fmt_int(row.trials),
-        _fmt_int(row.seed),
-    ])
+    values = ((c.metadata["fmt"], getattr(row, c.name)) for c in _COLUMNS)
+    return ",".join("" if v is None else fmt % v for fmt, v in values)
 
 
 def parse_rows(text: str) -> List[ResultRow]:
@@ -111,17 +99,10 @@ def parse_rows(text: str) -> List[ResultRow]:
     rows = []
     for ln in lines[1:]:
         parts = ln.split(",")
-        if len(parts) != 10:
+        if len(parts) != len(_COLUMNS):
             raise ConfigError(f"malformed CSV row: {ln!r}")
-        f = lambda s: None if s == "" else float(s)
-        i = lambda s: None if s == "" else int(s)
-        rows.append(ResultRow(
-            gamma_b_db=f(parts[0]), eta=f(parts[1]), rho=f(parts[2]),
-            detector=parts[3],
-            exact_bep=f(parts[4]), bound=f(parts[5]),
-            mc_p_hat=f(parts[6]), mc_ci=f(parts[7]),
-            trials=i(parts[8]), seed=i(parts[9]),
-        ))
+        rows.append(ResultRow(**{c.name: None if s == "" else _PARSERS[c.metadata["fmt"][-1]](s)
+                                 for c, s in zip(_COLUMNS, parts)}))
     return rows
 
 
@@ -340,7 +321,7 @@ def cmd_bep(args: argparse.Namespace) -> int:
         rho=rhos[0] if all(r == rhos[0] for r in rhos) else None,
         detector=cfg.detector.value, exact_bep=exact_bep(cfg), bound=_bound_for(cfg, [args.bound]))
     if args.json:
-        payload = {k: v for k, v in row.__dict__.items() if v is not None and v != ""}
+        payload = {k: v for k, v in asdict(row).items() if v is not None}
         print(json.dumps(payload, sort_keys=True))
     else:
         _print_rows([row])
@@ -365,7 +346,7 @@ def cmd_grid(args: argparse.Namespace) -> int:
 def cmd_doppler_rho(args: argparse.Namespace) -> int:
     if args.fdt is None and args.spectrum is not SpectrumKind.TABULATED:
         raise ConfigError("missing required option --fdt")
-    # rho_from_doppler rejects a table given with another spectrum, or missing
+    # DopplerSpec rejects a table given with another spectrum, or missing
     table = None if args.table is None else _read_table(args.table)
     spec = DopplerSpec(args.spectrum, 0.0 if args.fdt is None else args.fdt, table)
     print("%.11e" % rho_from_doppler(spec, quad_order=args.quad_order))

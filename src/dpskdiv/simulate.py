@@ -40,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from .bep import optimum_weights
-from .channel import Detector, DiversityConfig, validate_config
+from .channel import Detector, DiversityConfig
 from .errors import ConfigError
 
 TRIALS_PER_BATCH = 1 << 17
@@ -129,7 +129,6 @@ def estimate_bep(cfg: DiversityConfig, trials: int, seed: int, workers: int = 1,
     after it that a wave already ran are dropped, so an early-stopped result
     is also the same for every worker count, and it is flagged.
     """
-    cfg = validate_config(cfg)
     trials = int(trials)
     if trials < 1:
         raise ConfigError(f"trials={trials} must be >= 1")

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dpskdiv import BranchParams, ConfigError, Detector, DiversityConfig, validate_config
+from dpskdiv import (BranchParams, ConfigError, Detector, DiversityConfig, DopplerSpec,
+                     SpectrumKind)
 
 
 def cfg_of(*pairs, detector=Detector.OPTIMUM):
@@ -12,40 +13,59 @@ def cfg_of(*pairs, detector=Detector.OPTIMUM):
 
 
 def test_valid_config_passes_through():
-    cfg = cfg_of((0.975, 15.85))
-    assert validate_config(cfg) is cfg
+    branch = BranchParams(0.975, 15.85)
+    cfg = DiversityConfig((branch,), Detector.OPTIMUM)
+    assert cfg.branches == (branch,)
+    assert cfg.detector is Detector.OPTIMUM
 
 
 def test_empty_branch_list():
     with pytest.raises(ConfigError, match="L >= 1"):
-        validate_config(DiversityConfig((), Detector.OPTIMUM))
+        DiversityConfig((), Detector.OPTIMUM)
 
 
 def test_rho_out_of_range_names_branch():
     with pytest.raises(ConfigError, match="branch 0"):
-        validate_config(cfg_of((1.2, 1.0)))
+        cfg_of((1.2, 1.0))
 
 
 def test_negative_gamma_names_branch():
     with pytest.raises(ConfigError, match="branch 1"):
-        validate_config(cfg_of((0.5, 1.0), (0.5, -2.0)))
+        cfg_of((0.5, 1.0), (0.5, -2.0))
 
 
 def test_nan_rejected():
     with pytest.raises(ConfigError, match="branch 0"):
-        validate_config(cfg_of((math.nan, 1.0)))
+        cfg_of((math.nan, 1.0))
     with pytest.raises(ConfigError, match="branch 0"):
-        validate_config(cfg_of((0.5, math.nan)))
+        cfg_of((0.5, math.nan))
 
 
 def test_bad_detector_rejected():
     with pytest.raises(ConfigError):
-        validate_config(DiversityConfig((BranchParams(0.5, 1.0),), "optimum"))
+        DiversityConfig((BranchParams(0.5, 1.0),), "optimum")
 
 
 def test_branches_stored_as_tuple():
     cfg = DiversityConfig([BranchParams(0.1, 1.0)], Detector.SUBOPTIMUM)
     assert isinstance(cfg.branches, tuple)
+
+
+def test_bad_doppler_spec_rejected_when_built():
+    table = ((0.0, 1.0), (2.0, 0.5))
+    with pytest.raises(ConfigError, match="fdT"):
+        DopplerSpec(SpectrumKind.JAKES, -1.0)
+    with pytest.raises(ConfigError, match="covariance table"):
+        DopplerSpec(SpectrumKind.JAKES, 0.1, table)
+
+
+@pytest.mark.parametrize("fdt", [0.3, 1e300])
+def test_tabulated_spectrum_rejects_nonzero_fdt(fdt):
+    # the table fixes the covariance, so an fdT would be ignored
+    table = ((0.0, 1.0), (2.0, 0.5))
+    with pytest.raises(ConfigError, match="fdT"):
+        DopplerSpec(SpectrumKind.TABULATED, fdt, table)
+    assert DopplerSpec(SpectrumKind.TABULATED, 0.0, table).fdt == 0.0
 
 
 @given(
@@ -61,4 +81,5 @@ def test_branches_stored_as_tuple():
 )
 def test_all_in_range_configs_validate(pairs, det):
     cfg = cfg_of(*pairs, detector=det)
-    assert validate_config(cfg) is cfg
+    assert cfg.branches == tuple(BranchParams(r, g) for r, g in pairs)
+    assert cfg.detector is det

@@ -440,10 +440,12 @@ def test_usage_error_returns_code_two(capsys, argv):
     (["doppler-rho", "--spectrum", "jakes", "--fdt", "0.05", "--table", "{flat}"],
      ["covariance table", "tabulated"]),
     (["doppler-rho", "--spectrum", "tabulated"], ["covariance table", "tabulated"]),
+    (["doppler-rho", "--spectrum", "tabulated", "--table", "{flat}", "--fdt", "0.3"],
+     ["fdT=0.3", "tabulated"]),
     (["bep", "--gamma-db", "10", "--eta", "0.3", "--rho", "0.9"], ["--eta", "--gamma-db"]),
 ], ids=["rho", "trials", "detector", "spectrum", "range", "config-file", "table-line",
         "bound-exact", "bound-mc", "quad-order", "table-not-tabulated", "tabulated-no-table",
-        "eta-with-gamma-db"])
+        "tabulated-fdt", "eta-with-gamma-db"])
 def test_bad_value_error_names_it(capsys, tmp_path, argv, named):
     files = {"cfg": tmp_path / "bad.cfg", "table": tmp_path / "bad.txt",
              "flat": tmp_path / "flat.txt"}

@@ -9,9 +9,12 @@ from dpskdiv import (
     ConfigError,
     Detector,
     DiversityConfig,
+    DopplerSpec,
+    SpectrumKind,
     estimate_bep,
     exact_bep,
     optimum_weights,
+    rho_from_doppler,
 )
 from dpskdiv import simulate
 from dpskdiv.simulate import _batch_rng, decide, observe
@@ -190,6 +193,23 @@ def test_estimate_matches_l1_closed_form():
     assert abs(est.p_hat - est.errors / est.trials) < 1e-15
     expect_ci = 1.96 * math.sqrt(est.p_hat * (1 - est.p_hat) / est.trials)
     assert abs(est.ci95_halfwidth - expect_ci) < 1e-15
+
+
+@pytest.mark.parametrize("det, seed", [(Detector.OPTIMUM, 6000), (Detector.SUBOPTIMUM, 6001)])
+def test_estimate_matches_closed_form_l6_doppler(det, seed):
+    # six nonidentical branches, rho from three Doppler spectra (0.99901,
+    # 0.96543, 0.93605, two branches each), the first branch at 6 dB and each
+    # next one 2 dB lower: BEP 1.27e-2 / 1.40e-2, ~3500 errors in 2^18 trials
+    rhos = [rho_from_doppler(DopplerSpec(kind, fdt)) for kind, fdt in (
+        (SpectrumKind.JAKES, 0.01), (SpectrumKind.GAUSSIAN, 0.05),
+        (SpectrumKind.RECTANGULAR, 0.1))]
+    cfg = DiversityConfig(tuple(BranchParams(rhos[i // 2], 10.0 ** ((6.0 - 2.0 * i) / 10.0))
+                                for i in range(6)), det)
+    p = exact_bep(cfg)
+    trials = 1 << 18
+    est = estimate_bep(cfg, trials, seed=seed)
+    assert est.errors >= 2000
+    assert abs(est.p_hat - p) / math.sqrt(p * (1.0 - p) / trials) < 4.0
 
 
 def test_estimate_coin_flip_channel():
