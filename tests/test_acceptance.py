@@ -26,10 +26,8 @@ from dpskdiv import (
 from dpskdiv.cli import main as cli_main
 from dpskdiv.simulate import decide, observe
 
-import bep_oracle as oracle
+import mp_oracle as oracle
 from ml_reference import loglik_metric
-
-JAKES_FDT005_DENSE_GRID = 0.975528133401303
 
 
 def _report(capsys, name, ok, detail=""):
@@ -74,7 +72,7 @@ def test_reference_value_regression(capsys):
 
 
 def test_semi_analytic_cross_check(capsys):
-    # exact_bep against the independent mpmath oracle (tests/bep_oracle.py)
+    # exact_bep against the independent mpmath oracle (tests/mp_oracle.py)
     # for L <= 8: distinct poles, identical branches, pole gaps of 1e-9 to
     # 1e-1, and a mix of copies and free branches
     rng = np.random.default_rng(7)
@@ -150,7 +148,7 @@ def test_single_branch_closed_form(capsys):
     for _ in range(100):
         rho = float(rng.uniform(0.0, 1.0))
         gamma = float(10.0 ** rng.uniform(-2.0, 3.0))
-        ref = (1.0 + gamma * (1.0 - rho)) / (2.0 * (1.0 + gamma))
+        ref = oracle.bep_l1(rho, gamma)
         for det in Detector:
             cfg = DiversityConfig((BranchParams(rho, gamma),), det)
             worst = max(worst, abs(exact_bep(cfg) - ref) / ref)
@@ -183,8 +181,7 @@ def test_suboptimum_optimizer(capsys):
     for rho, gamma in ((0.9, 1.0), (0.975, 10.0), (0.99, 100.0), (0.5, 3.0)):
         cfg = DiversityConfig((BranchParams(rho, gamma),), Detector.SUBOPTIMUM)
         res = chernoff_suboptimum(cfg, improved=False)
-        rg = rho * gamma
-        ref = rg / (4.0 * ((1.0 + gamma) ** 2 - rg ** 2))
+        ref = oracle.sub_s_l1(rho, gamma)
         checks.append(abs(res.s_opt - ref) / ref < 1e-8)
 
     # multi-branch: stationarity of the product bound at the optimizer
@@ -197,16 +194,10 @@ def test_suboptimum_optimizer(capsys):
         cfg = DiversityConfig(
             tuple(BranchParams(r, g) for r, g in pairs), Detector.SUBOPTIMUM)
         res = chernoff_suboptimum(cfg, improved=False)
-        al = [1.0 + b.gamma + b.rho * b.gamma for b in cfg.branches]
-        bt = [1.0 + b.gamma - b.rho * b.gamma for b in cfg.branches]
-
-        def product_bound(s):
-            return math.prod(1.0 / ((1.0 + 4.0 * s * a) * (1.0 - 4.0 * s * b))
-                             for a, b in zip(al, bt))
-
         h = 1e-7 * res.s_opt
-        deriv = (product_bound(res.s_opt + h) - product_bound(res.s_opt - h)) / (2.0 * h)
-        checks.append(abs(deriv) * res.s_opt / product_bound(res.s_opt) < 1e-6)
+        deriv = (oracle.sub_product(pairs, res.s_opt + h)
+                 - oracle.sub_product(pairs, res.s_opt - h)) / (2.0 * h)
+        checks.append(abs(deriv) * res.s_opt / oracle.sub_product(pairs, res.s_opt) < 1e-6)
 
     _report(capsys, "suboptimum bound optimizer", all(checks),
             f"{sum(checks)}/{len(checks)} sub-checks (closed form + stationarity)")
@@ -215,10 +206,10 @@ def test_suboptimum_optimizer(capsys):
 def test_doppler_quadrature(capsys):
     still = rho_from_doppler(DopplerSpec(SpectrumKind.JAKES, 0.0))
     moving = rho_from_doppler(DopplerSpec(SpectrumKind.JAKES, 0.05))
-    ok = abs(still - 1.0) < 1e-10 and abs(moving - JAKES_FDT005_DENSE_GRID) < 1e-8
+    ok = abs(still - 1.0) < 1e-10 and abs(moving - oracle.JAKES_FDT005_DENSE_GRID) < 1e-8
     _report(capsys, "Doppler quadrature", ok,
             f"fdT=0 err {abs(still - 1.0):.1e}, "
-            f"fdT=0.05 err {abs(moving - JAKES_FDT005_DENSE_GRID):.1e}")
+            f"fdT=0.05 err {abs(moving - oracle.JAKES_FDT005_DENSE_GRID):.1e}")
 
 
 def test_simulation_determinism(capsys):

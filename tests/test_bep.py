@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import bep_oracle as oracle
+import mp_oracle as oracle
 from dpskdiv import (
     BranchParams,
     ConfigError,
@@ -20,10 +20,6 @@ from dpskdiv import (
 
 def cfg_of(*pairs, detector=Detector.OPTIMUM):
     return DiversityConfig(tuple(BranchParams(r, g) for r, g in pairs), detector)
-
-
-def l1_closed_form(rho, gamma):
-    return (1.0 + gamma * (1.0 - rho)) / (2.0 * (1.0 + gamma))
 
 
 # ---------------------------------------------------------------- weights
@@ -96,7 +92,7 @@ def test_near_iid_matches_identical_branch_perturbation():
 @settings(max_examples=100, deadline=None)
 @given(st.floats(0.0, 1.0), st.floats(0.0, 1e4))
 def test_l1_reduction_property(rho, gamma):
-    expected = l1_closed_form(rho, gamma)
+    expected = oracle.bep_l1(rho, gamma)
     for det in Detector:
         assert abs(exact_bep(cfg_of((rho, gamma), detector=det)) - expected) < 1e-12
 
@@ -182,7 +178,7 @@ def test_thirty_db_unbalanced_points():
 
 
 # ------------------------------------------------------------- oracle
-# bep_oracle sums the residues of the paper's partial-fraction form in high
+# mp_oracle.bep sums the residues of the paper's partial-fraction form in high
 # precision, and checks that against a negative-binomial form for identical
 # branches and a semi-analytic Gil-Pelaez inversion.
 

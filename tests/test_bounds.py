@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 
+import mp_oracle as oracle
 from dpskdiv import (
     BranchParams,
     ConfigError,
@@ -22,11 +23,6 @@ def opt_cfg(*pairs):
 
 def sub_cfg(*pairs):
     return DiversityConfig(tuple(BranchParams(r, g) for r, g in pairs), Detector.SUBOPTIMUM)
-
-
-def sub_s_closed_form(rho, gamma):
-    rg = rho * gamma
-    return rg / (4.0 * ((1.0 + gamma) ** 2 - rg ** 2))
 
 
 GRID_RHOS = (0.9, 0.975, 0.99)
@@ -106,36 +102,29 @@ def test_optimum_dominates_exact_on_grid():
 def test_suboptimum_l1_matches_closed_form_s():
     for rho, gamma in ((0.975, 10.0), (0.9, 3.0), (0.5, 100.0), (0.99, 1000.0)):
         res = chernoff_suboptimum(sub_cfg((rho, gamma)), improved=True)
-        s_exact = sub_s_closed_form(rho, gamma)
+        s_exact = oracle.sub_s_l1(rho, gamma)
         assert abs(res.s_opt - s_exact) / s_exact < 1e-8
 
 
 def test_suboptimum_identical_branches_share_the_stationary_point():
     rho, gamma = 0.95, 25.0
     res = chernoff_suboptimum(sub_cfg(*[(rho, gamma)] * 3), improved=True)
-    s_exact = sub_s_closed_form(rho, gamma)
+    s_exact = oracle.sub_s_l1(rho, gamma)
     assert abs(res.s_opt - s_exact) / s_exact < 1e-8
 
 
 def test_suboptimum_first_order_condition():
     # central finite difference of the product bound at the optimizer
     cases = [
-        sub_cfg((0.975, 3.162), (0.975, 28.46)),
-        sub_cfg((0.9, 1.0), (0.975, 31.6), (0.99, 316.0)),
-        sub_cfg((0.9, 2.0), (0.95, 10.0), (0.975, 100.0), (0.99, 900.0)),
+        ((0.975, 3.162), (0.975, 28.46)),
+        ((0.9, 1.0), (0.975, 31.6), (0.99, 316.0)),
+        ((0.9, 2.0), (0.95, 10.0), (0.975, 100.0), (0.99, 900.0)),
     ]
-    for cfg in cases:
-        res = chernoff_suboptimum(cfg, improved=False)
-        al = [1.0 + b.gamma + b.rho * b.gamma for b in cfg.branches]
-        bt = [1.0 + b.gamma - b.rho * b.gamma for b in cfg.branches]
-
-        def product_bound(s):
-            return math.prod(1.0 / ((1.0 + 4.0 * s * a) * (1.0 - 4.0 * s * b))
-                             for a, b in zip(al, bt))
-
-        h = 1e-7 * res.s_opt
-        deriv = (product_bound(res.s_opt + h) - product_bound(res.s_opt - h)) / (2.0 * h)
-        assert abs(deriv) * res.s_opt / product_bound(res.s_opt) < 1e-6
+    for pairs in cases:
+        s = chernoff_suboptimum(sub_cfg(*pairs), improved=False).s_opt
+        h = 1e-7 * s
+        deriv = (oracle.sub_product(pairs, s + h) - oracle.sub_product(pairs, s - h)) / (2.0 * h)
+        assert abs(deriv) * s / oracle.sub_product(pairs, s) < 1e-6
 
 
 def test_suboptimum_uncorrelated_bound_is_half():
@@ -223,8 +212,7 @@ def mp_suboptimum_bound(pairs):
                 hi = mid
             else:
                 lo = mid
-        s = (lo + hi) / 2
-        return mpmath.fprod(1 / ((1 + 4 * s * a) * (1 - 4 * s * b)) for a, b in poles)
+        return oracle.sub_product(mp, (lo + hi) / 2)
 
 
 @pytest.mark.parametrize("l", [2, 3])

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import dpskdiv
-
+import mp_oracle
 from dpskdiv import ConfigError, Detector
 from dpskdiv.cli import CSV_HEADER, SweepSpec, format_row, main, parse_rows, sweep_rows
 
@@ -260,7 +260,7 @@ def test_doppler_rho_zero_bandwidth(capsys):
 def test_doppler_rho_reference_point(capsys):
     code, out, _ = run_cli(capsys, "doppler-rho", "--spectrum", "jakes", "--fdt", "0.05")
     assert code == 0
-    assert abs(float(out) - 0.975528133401303) < 1e-8
+    assert abs(float(out) - mp_oracle.JAKES_FDT005_DENSE_GRID) < 1e-8
     # 12 significant digits requested
     mantissa = out.strip().split("e")[0]
     assert len(mantissa.replace(".", "").replace("-", "")) == 12
