@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from .channel import BranchParams, Detector, DiversityConfig, validate_branches
+from .channel import BranchParams, Detector, DiversityConfig
 from .errors import ConfigError
 
 
@@ -49,7 +49,7 @@ def optimum_weights(branches: Sequence[BranchParams]) -> List[float]:
     which neither overflows for large gamma_i nor cancels as rho_i -> 1;
     w_i = 0 at gamma_i = 0.
     """
-    validate_branches(branches)
+    branches = DiversityConfig(branches, Detector.OPTIMUM).branches  # checks them
     return [br.rho / ((1.0 / br.gamma + 1.0 + br.rho) * (1.0 + br.gamma * (1.0 - br.rho)))
             if br.gamma > 0.0 else 0.0 for br in branches]
 
@@ -160,7 +160,9 @@ def chernoff_suboptimum(cfg: DiversityConfig, improved: bool = True) -> Chernoff
     s in (0, 1/(4 max_i beta_i)) with alpha_i = 1 + gamma_i + rho_i gamma_i
     and beta_i = 1 + gamma_i - rho_i gamma_i.  The log objective is convex,
     so its analytic derivative is strictly increasing and a bisection on it
-    locates the unique minimizer to full precision.
+    locates the unique minimizer to full precision; when every
+    rho_i gamma_i = 0 the derivative is positive throughout and the bisection
+    ends at the lower end of the interval, where the bound is 1.
     """
     if cfg.detector is not Detector.SUBOPTIMUM:
         raise ConfigError("chernoff_suboptimum requires a suboptimum-detector config")
@@ -173,14 +175,10 @@ def chernoff_suboptimum(cfg: DiversityConfig, improved: bool = True) -> Chernoff
         return sum(4.0 * b / (1.0 - 4.0 * s * b) - 4.0 * a / (1.0 + 4.0 * s * a)
                    for a, b in zip(alphas, betas))
 
-    if dlog_bound(lo) >= 0.0:
-        s_opt = lo
-    else:
-        while hi - lo > 1e-15 * hi:
-            mid = 0.5 * (lo + hi)
-            if dlog_bound(mid) > 0.0:
-                hi = mid
-            else:
-                lo = mid
-        s_opt = 0.5 * (lo + hi)
-    return _chernoff(alphas, betas, s_opt, improved)
+    while hi - lo > 1e-15 * hi:
+        mid = 0.5 * (lo + hi)
+        if dlog_bound(mid) > 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return _chernoff(alphas, betas, 0.5 * (lo + hi), improved)

@@ -12,7 +12,8 @@ with all lags expressed in bit durations.  u - v has the triangular density
 1 - |t| on [-1, 1], so R(j) = int (1 - |s - j|) r(|s|) ds over s in
 [j - 1, j + 1], a 1-D integral.  Its integrand creases only at s = 0, at
 s = j and at the knots of a tabulated covariance; rho_from_doppler splits the
-range there and runs a Gauss-Legendre rule, in pure Python, on each piece.
+range there, and at 2/fdT under a narrow Gaussian peak, and runs a
+Gauss-Legendre rule, in pure Python, on each piece.
 
 The Jakes covariance J0(w s), w = 2 pi fdT, is the m-interval trapezoid rule
 on J0(x) = (2/pi) int_0^{pi/2} cos(x sin t) dt (Abramowitz & Stegun 9.1.18).
@@ -28,7 +29,7 @@ import enum
 import functools
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from .errors import ConfigError, ConvergenceError
 
@@ -70,7 +71,17 @@ class DiversityConfig:
     detector: Detector
 
     def __post_init__(self):
-        object.__setattr__(self, "branches", validate_branches(self.branches))
+        branches = tuple(self.branches)
+        if not branches:
+            raise ConfigError("L >= 1 required: branch list is empty")
+        for i, br in enumerate(branches):
+            if not (math.isfinite(br.rho) and math.isfinite(br.gamma)):
+                raise ConfigError(f"branch {i}: non-finite parameter (rho={br.rho}, gamma={br.gamma})")
+            if not 0.0 <= br.rho <= 1.0:
+                raise ConfigError(f"branch {i}: rho={br.rho} outside [0, 1]")
+            if br.gamma < 0.0:
+                raise ConfigError(f"branch {i}: gamma={br.gamma} is negative")
+        object.__setattr__(self, "branches", branches)
         if not isinstance(self.detector, Detector):
             raise ConfigError(f"unknown detector {self.detector!r}")
 
@@ -116,26 +127,11 @@ class DopplerSpec:
             raise ConfigError(f"fdT={self.fdt} must be 0 for the tabulated spectrum")
 
 
-def validate_branches(branches: Sequence[BranchParams]) -> Tuple[BranchParams, ...]:
-    branches = tuple(branches)
-    if len(branches) == 0:
-        raise ConfigError("L >= 1 required: branch list is empty")
-    for i, br in enumerate(branches):
-        rho = br.rho
-        gamma = br.gamma
-        if not (math.isfinite(rho) and math.isfinite(gamma)):
-            raise ConfigError(f"branch {i}: non-finite parameter (rho={rho}, gamma={gamma})")
-        if not 0.0 <= rho <= 1.0:
-            raise ConfigError(f"branch {i}: rho={rho} outside [0, 1]")
-        if gamma < 0.0:
-            raise ConfigError(f"branch {i}: gamma={gamma} is negative")
-    return branches
-
-
 def _covariance(spec: DopplerSpec):
     """Normalized covariance r(s) as a scalar callable of the lag s >= 0 in
     bits, and the edges that split [0, 2] into pieces on which the integrands
-    of _rho_at are smooth: 0, 1, 2 and every table knot below 2."""
+    of _rho_at are smooth: 0, 1, 2, every table knot below 2, and 2/fdT for
+    a Gaussian with fdT > 2."""
     fdt = spec.fdt
     edges = (0.0, 1.0, 2.0)
     if spec.kind is SpectrumKind.JAKES:
@@ -149,7 +145,11 @@ def _covariance(spec: DopplerSpec):
         # r(tau) = exp(-(pi*fdT*tau)^2 / ln 2).
         # a product: ** 2 raises OverflowError from fdT ~ 4e153
         c = (math.pi * fdt) * (math.pi * fdt) / _LN2
-        return (lambda s: math.exp(-c * s * s)), edges
+        # above fdT = 2 the peak at lag 0 is narrower than the piece [0, 1];
+        # an edge at 2/fdT, where r = exp(-4 pi^2 / ln 2) ~ 1e-25, gives it a
+        # piece of its own
+        return (lambda s: math.exp(-c * s * s)), ((0.0, 2.0 / fdt) + edges[1:]
+                                                  if fdt > 2.0 else edges)
     if spec.kind is SpectrumKind.RECTANGULAR:
         w = 2.0 * math.pi * fdt
 
@@ -201,7 +201,8 @@ def _rho_at(cov, edges, n: int) -> float:
 
     With r even, R(0) = int_0^2 2 max(0, 1 - s) r(s) ds and
     R(1) = int_0^2 (1 - |s - 1|) r(s) ds, so one pass over the nodes gives
-    both.
+    both.  The R(1) weight is formed as min(s, 2 - s), exact in floating
+    point: 1 - |s - 1| loses the small s on which a narrow peak sits.
     """
     rule = _gauss_legendre(n)
     r0, r1 = [], []
@@ -211,8 +212,9 @@ def _rho_at(cov, edges, n: int) -> float:
             s = mid + half * x
             c = half * w * cov(s)
             r0.append(2.0 * max(0.0, 1.0 - s) * c)
-            r1.append((1.0 - abs(s - 1.0)) * c)
-    # R(0) underflows to 0 for a Gaussian with fdT in the thousands: nan never converges
+            r1.append(min(s, 2.0 - s) * c)
+    # R(0) is 0 where the covariance underflows at every node (a Gaussian
+    # whose (pi fdT)^2 / ln 2 overflows): nan never converges
     r0 = math.fsum(r0)
     return math.fsum(r1) / r0 if r0 else math.nan
 
@@ -220,12 +222,13 @@ def _rho_at(cov, edges, n: int) -> float:
 def rho_from_doppler(spec: DopplerSpec, quad_order: int = DEFAULT_QUAD_ORDER) -> float:
     """Fading correlation coefficient rho = R(1)/R(0) for a Doppler spectrum.
 
-    Each R(j) is a 1-D integral over the lag s in [0, 2], split at 0, 1, 2
-    and every table knot so that each piece is smooth.  An n-point
-    Gauss-Legendre rule runs on every piece, starting at n = quad_order and
-    doubling n until successive estimates differ by less than 1e-10, capped
-    at 512 nodes per piece.  A piecewise-linear table makes each piece a
-    quadratic, so it converges at the first doubling.
+    Each R(j) is a 1-D integral over the lag s in [0, 2], split at 0, 1, 2,
+    every table knot and, for a Gaussian with fdT > 2, at 2/fdT, so that
+    each piece is smooth.  An n-point Gauss-Legendre rule runs on every
+    piece, starting at n = quad_order and doubling n until successive
+    estimates differ by less than 1e-10, capped at 512 nodes per piece.  A
+    piecewise-linear table makes each piece a quadratic, so it converges at
+    the first doubling.
 
     Parameters
     ----------
@@ -244,9 +247,11 @@ def rho_from_doppler(spec: DopplerSpec, quad_order: int = DEFAULT_QUAD_ORDER) ->
     ConfigError
         quad_order out of range.
     ConvergenceError
-        Tolerance not reached by the cap, which takes fdT in the hundreds, or
-        R(0) underflowing to 0 (Gaussian, fdT in the thousands); carries the
-        last two estimates as .last and .previous.
+        Tolerance not reached by the cap: Jakes and rectangular from fdT
+        ~150, whose covariance oscillates too fast for 512 nodes per piece,
+        and a Gaussian from fdT ~3.6e153, whose (pi fdT)^2 / ln 2 overflows,
+        so that r is 0 at every node and R(0) = 0.  Carries the last two
+        estimates as .last and .previous.
     """
     quad_order = int(quad_order)
     if quad_order < 2:

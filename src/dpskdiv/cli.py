@@ -69,9 +69,23 @@ CSV_HEADER = ",".join(c.name for c in _COLUMNS)
 _PARSERS = {"g": float, "e": float, "s": str, "d": int}
 
 
+def _grid_values(start: float, stop: float, step: float) -> List[float]:
+    if not step > 0.0:
+        raise ConfigError(f"step={step} must be positive")
+    if stop < start:
+        raise ConfigError("empty range: stop is below start")
+    span = (stop - start) / step
+    # also false for a non-finite start or stop
+    if not math.isfinite(span):
+        raise ConfigError(f"range {start}:{stop}:{step} must have finite ends and span")
+    n = int(math.floor(span + 1e-9)) + 1
+    return [start + k * step for k in range(n)]
+
+
 @dataclass(frozen=True)
 class SweepSpec:
-    """Grid description for sweep/simulate: a two-branch power-split sweep."""
+    """Grid description for sweep/simulate: a two-branch power-split sweep,
+    checked when built."""
 
     gamma_start: float
     gamma_stop: float
@@ -84,6 +98,23 @@ class SweepSpec:
     seed: Optional[int] = None
     workers: int = 1
     stop_rel_tol: Optional[float] = None
+
+    def __post_init__(self):
+        if not self.outputs:
+            raise ConfigError("at least one output is required")
+        for o in self.outputs:
+            if o not in _OUTPUT_CHOICES:
+                raise ConfigError(f"unknown output {o!r}; choose from {', '.join(_OUTPUT_CHOICES)}")
+        if "chernoff" in self.outputs and "chernoff_improved" in self.outputs:
+            raise ConfigError("choose one bound variant: chernoff or chernoff_improved")
+        if "mc" in self.outputs and self.mc_trials is None:
+            raise ConfigError("mc output is only available through the simulate command")
+        _grid_values(self.gamma_start, self.gamma_stop, self.gamma_step)
+        for name, values in (("eta", self.etas), ("rho", self.rhos), ("detector", self.detectors)):
+            if not values:
+                raise ConfigError(f"{name} list is empty")
+        if "mc" in self.outputs and self.seed is None:
+            raise ConfigError("mc output requires a seed")
 
 
 def format_row(row: ResultRow) -> str:
@@ -106,82 +137,38 @@ def parse_rows(text: str) -> List[ResultRow]:
     return rows
 
 
-def _bound_for(cfg: DiversityConfig, outputs: Sequence[str]) -> Optional[float]:
-    if "chernoff_improved" in outputs:
-        improved = True
-    elif "chernoff" in outputs:
-        improved = False
-    else:
-        return None
-    if cfg.detector is Detector.OPTIMUM:
-        return chernoff_optimum(cfg, improved=improved).bound
-    return chernoff_suboptimum(cfg, improved=improved).bound
-
-
-def _validate_outputs(outputs: Sequence[str], allow_mc: bool) -> Tuple[str, ...]:
-    outputs = tuple(outputs)
-    if not outputs:
-        raise ConfigError("at least one output is required")
-    for o in outputs:
-        if o not in _OUTPUT_CHOICES:
-            raise ConfigError(f"unknown output {o!r}; choose from {', '.join(_OUTPUT_CHOICES)}")
-    if "chernoff" in outputs and "chernoff_improved" in outputs:
-        raise ConfigError("choose one bound variant: chernoff or chernoff_improved")
-    if "mc" in outputs and not allow_mc:
-        raise ConfigError("mc output is only available through the simulate command")
-    return outputs
-
-
-def _grid_values(start: float, stop: float, step: float) -> List[float]:
-    if not step > 0.0:
-        raise ConfigError(f"step={step} must be positive")
-    if stop < start:
-        raise ConfigError("empty range: stop is below start")
-    span = (stop - start) / step
-    # also false for a non-finite start or stop
-    if not math.isfinite(span):
-        raise ConfigError(f"range {start}:{stop}:{step} must have finite ends and span")
-    n = int(math.floor(span + 1e-9)) + 1
-    return [start + k * step for k in range(n)]
+def _row(cfg: DiversityConfig, outputs: Sequence[str], **columns) -> ResultRow:
+    """The row of one point: the given columns, plus exact_bep and the bound
+    (chernoff or chernoff_improved) when outputs name them."""
+    if "exact" in outputs:
+        columns["exact_bep"] = exact_bep(cfg)
+    if "chernoff" in outputs or "chernoff_improved" in outputs:
+        chernoff = chernoff_optimum if cfg.detector is Detector.OPTIMUM else chernoff_suboptimum
+        columns["bound"] = chernoff(cfg, improved="chernoff_improved" in outputs).bound
+    return ResultRow(detector=cfg.detector.value, **columns)
 
 
 def sweep_rows(spec: SweepSpec) -> List[ResultRow]:
     """Evaluate a SweepSpec into result rows, lexicographic grid order."""
-    outputs = _validate_outputs(spec.outputs, allow_mc=spec.mc_trials is not None)
-    gammas = _grid_values(spec.gamma_start, spec.gamma_stop, spec.gamma_step)
-    if not spec.etas:
-        raise ConfigError("eta list is empty")
-    if not spec.rhos:
-        raise ConfigError("rho list is empty")
-    if not spec.detectors:
-        raise ConfigError("detector list is empty")
-    if "mc" in outputs:
-        if spec.seed is None:
-            raise ConfigError("mc output requires a seed")
+    if "mc" in spec.outputs:
         from .simulate import estimate_bep  # numpy: only the simulator needs it
     rows = []
-    index = 0
-    for gamma_b_db in gammas:
+    for gamma_b_db in _grid_values(spec.gamma_start, spec.gamma_stop, spec.gamma_step):
         for eta in sorted(spec.etas):
             for rho in sorted(spec.rhos):
                 for det in sorted(set(spec.detectors), key=lambda d: d.value):
                     g1, g2 = power_split(gamma_b_db, eta)
                     cfg = DiversityConfig(
                         (BranchParams(rho, g1), BranchParams(rho, g2)), det)
-                    exact = exact_bep(cfg) if "exact" in outputs else None
-                    bound = _bound_for(cfg, outputs)
-                    mc_p = mc_ci = trials = seed = None
-                    if "mc" in outputs:
-                        est = estimate_bep(cfg, spec.mc_trials, spec.seed + index,
+                    mc = {}
+                    if "mc" in spec.outputs:
+                        est = estimate_bep(cfg, spec.mc_trials, spec.seed + len(rows),
                                            workers=spec.workers,
                                            stop_rel_tol=spec.stop_rel_tol)
-                        mc_p, mc_ci = est.p_hat, est.ci95_halfwidth
-                        trials, seed = est.trials, est.seed
-                    rows.append(ResultRow(
-                        gamma_b_db=gamma_b_db, eta=eta, rho=rho,
-                        detector=det.value, exact_bep=exact, bound=bound,
-                        mc_p_hat=mc_p, mc_ci=mc_ci, trials=trials, seed=seed))
-                    index += 1
+                        mc = dict(mc_p_hat=est.p_hat, mc_ci=est.ci95_halfwidth,
+                                  trials=est.trials, seed=est.seed)
+                    rows.append(_row(cfg, spec.outputs, gamma_b_db=gamma_b_db, eta=eta,
+                                     rho=rho, **mc))
     return rows
 
 
@@ -316,10 +303,8 @@ def cmd_bep(args: argparse.Namespace) -> int:
         raise ConfigError(f"--L {args.L} does not match {len(gammas)} branch parameters")
     cfg = DiversityConfig(tuple(BranchParams(r, g) for r, g in zip(rhos, gammas)),
                           args.detector[0])
-    row = ResultRow(
-        gamma_b_db=total_db, eta=eta,
-        rho=rhos[0] if all(r == rhos[0] for r in rhos) else None,
-        detector=cfg.detector.value, exact_bep=exact_bep(cfg), bound=_bound_for(cfg, [args.bound]))
+    row = _row(cfg, ("exact", args.bound), gamma_b_db=total_db, eta=eta,
+               rho=rhos[0] if all(r == rhos[0] for r in rhos) else None)
     if args.json:
         payload = {k: v for k, v in asdict(row).items() if v is not None}
         print(json.dumps(payload, sort_keys=True))

@@ -1,6 +1,8 @@
+import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -166,11 +168,38 @@ def test_sweep_rejects_mc_output(capsys):
 
 
 def test_sweep_rows_mc_requires_seed():
-    spec = SweepSpec(gamma_start=10.0, gamma_stop=10.0, gamma_step=1.0, etas=(0.1,),
-                     rhos=(0.975,), detectors=(Detector.OPTIMUM,), outputs=("mc",),
-                     mc_trials=100)
+    # the spec checks itself, so building it is what fails
     with pytest.raises(ConfigError, match="seed"):
-        sweep_rows(spec)
+        SweepSpec(gamma_start=10.0, gamma_stop=10.0, gamma_step=1.0, etas=(0.1,),
+                  rhos=(0.975,), detectors=(Detector.OPTIMUM,), outputs=("mc",),
+                  mc_trials=100)
+
+
+_SPEC = dict(gamma_start=0.0, gamma_stop=10.0, gamma_step=5.0, etas=(0.1,), rhos=(0.975,),
+             detectors=(Detector.OPTIMUM,), outputs=("exact",))
+
+
+@pytest.mark.parametrize("changes, message", [
+    (dict(outputs=()), "at least one output is required"),
+    (dict(outputs=("exact", "bogus")),
+     "unknown output 'bogus'; choose from exact, chernoff, chernoff_improved, mc"),
+    (dict(outputs=("chernoff", "chernoff_improved")),
+     "choose one bound variant: chernoff or chernoff_improved"),
+    (dict(outputs=("mc",), seed=1), "mc output is only available through the simulate command"),
+    (dict(outputs=("mc",), mc_trials=100), "mc output requires a seed"),
+    (dict(etas=()), "eta list is empty"),
+    (dict(rhos=()), "rho list is empty"),
+    (dict(detectors=()), "detector list is empty"),
+    (dict(gamma_step=0.0), "step=0.0 must be positive"),
+    (dict(gamma_stop=-1.0), "empty range: stop is below start"),
+    (dict(gamma_stop=math.inf), "range 0.0:inf:5.0 must have finite ends and span"),
+], ids=["no-output", "unknown-output", "both-bounds", "mc-no-trials", "mc-no-seed",
+        "no-eta", "no-rho", "no-detector", "step-zero", "stop-below-start", "infinite-end"])
+def test_sweep_spec_checks_itself(changes, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        SweepSpec(**{**_SPEC, **changes})
+    # the same spec without the fault builds, and sweep_rows takes it
+    assert sweep_rows(SweepSpec(**_SPEC))
 
 
 def test_sweep_missing_required_option(capsys):
@@ -285,8 +314,9 @@ def test_doppler_rho_kinked_table_exit_code(capsys, tmp_path):
 
 
 def test_doppler_rho_extreme_fdt_exit_code(capsys):
-    # gaussian at fdT = 2000: R(0) underflows to 0 on the coarse rules
-    for spectrum, fdt in (("rectangular", "200"), ("gaussian", "2000")):
+    # rectangular at fdT = 200 oscillates too fast for 512 nodes per piece;
+    # gaussian at fdT = 1e200 overflows (pi fdT)^2 / ln 2, so R(0) = 0
+    for spectrum, fdt in (("rectangular", "200"), ("gaussian", "1e200")):
         code, out, err = run_cli(capsys, "doppler-rho", "--spectrum", spectrum, "--fdt", fdt)
         assert code == 3
         assert out == ""
@@ -327,6 +357,18 @@ def test_reproduce_fig_two_grid(capsys):
     rows = parse_rows(out)
     assert len(rows) == 31 * 5 * 2
     assert {r.eta for r in rows} == {0.4, 0.45, 0.49, 0.4999, 0.5001}
+
+
+@pytest.mark.parametrize("figure, lines, md5", [
+    ("1", 125, "7300f01e420899971151e01167bdf17b"),
+    ("2", 311, "60cf7ad58864ffc5bfa28da78b62cebc"),
+], ids=["figure-1", "figure-2"])
+def test_reproduce_fig_bytes_pinned(capsys, figure, lines, md5):
+    # the whole CSV, byte for byte: a moved digit anywhere in either grid shows
+    code, out, _ = run_cli(capsys, "reproduce-fig", "--figure", figure)
+    assert code == 0
+    assert len(out.splitlines()) == lines
+    assert hashlib.md5(out.encode()).hexdigest() == md5
 
 
 def test_reproduce_fig_unknown(capsys):

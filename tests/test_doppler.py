@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -51,13 +52,15 @@ def test_order_doubling_converges(kind, fdt):
 
 # Jakes and rectangular take 256 nodes per piece at fdT = 50 and 512, the cap,
 # at 128 (150 fails).  Jakes reads 1.6e-14 off the oracle at fdT = 50 and
-# 6.5e-15 at 128, every other case <= 1.1e-15.
+# 6.5e-15 at 128, every other case <= 1.1e-15.  The Gaussian at fdT = 500 has
+# its lag-0 peak on a piece of its own.
 @pytest.mark.parametrize("spec", [
     *(pytest.param(DopplerSpec(kind, fdt), id=f"{kind.value}-{fdt}")
       for kind in (SpectrumKind.JAKES, SpectrumKind.GAUSSIAN, SpectrumKind.RECTANGULAR)
       for fdt in (0.001, 0.01, 0.05, 0.1, 0.3, 1.0, 50.0)),
     *(pytest.param(DopplerSpec(SpectrumKind.JAKES, fdt), id=f"jakes-{fdt}")
       for fdt in (2.0, 3.0, 5.0)),
+    pytest.param(DopplerSpec(SpectrumKind.GAUSSIAN, 500.0), id="gaussian-500.0"),
     *(pytest.param(DopplerSpec(kind, 128.0), id=f"{kind.value}-128.0")
       for kind in (SpectrumKind.JAKES, SpectrumKind.RECTANGULAR)),
     *(pytest.param(DopplerSpec(SpectrumKind.TABULATED, 0.0, table), id=name)
@@ -151,10 +154,23 @@ def test_extreme_fdt_raises_convergence_error():
         assert abs(err.last - err.previous) >= 1e-10
 
 
-@pytest.mark.parametrize("fdt", [2000.0, 1e4, 1e200])
+@pytest.mark.parametrize("fdt", [2000.0, 1e4, 1e6, 1e100])
+def test_gaussian_large_fdt_matches_closed_form(fdt):
+    # for fdT >= 2, c = (pi fdT)^2 / ln 2 >= 57, and R(0) = sqrt(pi / c) - 1 / c,
+    # R(1) = 1 / (2 c) up to exp(-c) terms, so rho = 1 / (2 (sqrt(pi c) - 1)):
+    # the asymptote sqrt(ln 2) / (2 pi^1.5 fdT) with its 1 / sqrt(pi c)
+    # correction.  The narrow peak sits on the piece [0, 2/fdT]; the R(1)
+    # weight there is the lag itself, kept exact.
+    with mpmath.workdps(30):
+        c = (mpmath.pi * fdt) ** 2 / mpmath.log(2)
+        ref = 1 / (2 * (mpmath.sqrt(mpmath.pi * c) - 1))
+    assert mp_oracle.rel_err(rho_from_doppler(DopplerSpec(SpectrumKind.GAUSSIAN, fdt)), ref) < 2e-15
+
+
+@pytest.mark.parametrize("fdt", [3.6e153, 1e200])
 def test_gaussian_underflow_raises_convergence_error(fdt):
-    # the covariance underflows to 0 at every node of the coarse rules (and
-    # at fdT = 1e200 of every rule), so their R(0) is 0 and counts as not
-    # converged, never as a division by zero
+    # (pi fdT)^2 / ln 2 overflows from fdT ~ 3.56e153, the covariance is 0 at
+    # every node of every rule, and R(0) = 0 counts as not converged, never
+    # as a division by zero
     with pytest.raises(ConvergenceError):
         rho_from_doppler(DopplerSpec(SpectrumKind.GAUSSIAN, fdt))
