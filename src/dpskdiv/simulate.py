@@ -1,28 +1,43 @@
 """Monte Carlo link simulator for DPSK diversity reception.
 
-Each trial draws one correlated fading pair per branch and one pair of
-matched-filter outputs; the detectors only ever see the (previous, current)
-joint statistics, so no full time series is needed.  The Doppler spectrum
-enters solely through rho, computed by the channel module.
+The detector sees branch i only through the matched-filter outputs
+(z_prev, z_curr) of two adjacent bits, and the Doppler spectrum enters
+solely through rho, computed by the channel module.  Given bit 0, the pair
+is zero-mean complex Gaussian with E|z|^2 = 1 + gamma and
+E[z_curr conj(z_prev)] = rho gamma (eb = n0 = 1), so a trial draws just
+the pair, from four standard normals v0..v3 per branch:
 
-observe is the one channel model: it maps pre-drawn standard normals to
-matched-filter outputs, and decide is the sign detector.  The batch kernel
-runs exactly these two functions, so the tests that check the fading
-correlation, the noise power and the detector check the code that
-estimate_bep runs.
+    z_prev = sqrt((1 + gamma) / 2) (v0 + i v1),
+    z_curr = c z_prev + sqrt(e / 2) (v2 + i v3),
+    c = rho gamma / (1 + gamma),
+    e = (1 + gamma (1 - rho)) (1 + gamma (1 + rho)) / (1 + gamma).
+
+Bit 1 flips the sign of z_curr, which maps it onto bit 0 exactly, so the
+kernel conditions on bit 0.  The statistic sum_i w_i Re(z_curr conj(z_prev))
+is then sum_i a_i (v0^2 + v1^2) + b_i (v0 v2 + v1 v3) in real arithmetic
+(see _coefficients), with the same distribution, and a negative statistic
+is an error.  A zero statistic decides 0, an error for bit 1 only, so each
+tie is an error with probability 1/2.  Ties have probability zero unless
+every term vanishes, as for the optimum detector when every rho_i gamma_i
+is 0 and the weights are all 0.
+
+The link-level model, which draws the fading and the noise of each output
+apart, and the complex sign detector are the reference in the tests
+(tests/link_reference.py); the tests check this kernel's statistic and error
+rate against them.
 
 Reproducibility contract
 ------------------------
 Trials are split into fixed-size batches of TRIALS_PER_BATCH.  Batch b is
 generated from its own counter-based stream, Philox keyed by the 64-bit
 seed with counter b << 64, so any assignment of batches to workers yields
-the same totals.  Within a batch the draw order is: one uniform per trial
-for the data bits, then a (trials, L, 8) block of numpy's ziggurat
-standard_normal, columns 0:4 for the fading pair and 4:8 for the noise
-(stream v2).  The ziggurat's tables belong to numpy, so the stream is
-pinned to numpy's Generator.standard_normal as well as to Philox.
-Changing TRIALS_PER_BATCH changes the stream layout and therefore the
-estimates; it is a contract constant, not a tuning knob.
+the same totals.  Within a batch the draw order is: a (trials, 4, L) block
+of numpy's ziggurat standard_normal, row k of each trial holding vk of every
+branch, then one binomial draw, Binomial(ties, 1/2), for the batch's ties
+(stream v3).  The ziggurat's tables belong to numpy, so the stream is
+pinned to numpy's Generator as well as to Philox.  Changing
+TRIALS_PER_BATCH changes the stream layout and therefore the estimates; it
+is a contract constant, not a tuning knob.
 
 The kernel draws and processes a batch's block in consecutive sub-blocks of
 trials, reusing one buffer.  Filling consecutive slices continues the same
@@ -60,42 +75,6 @@ class BepEstimate:
     early_stopped: bool = False
 
 
-def observe(g: np.ndarray, rho, r0, rot):
-    """Matched-filter outputs (z_prev, z_curr) of two adjacent bits.
-
-    g is a (..., L, 8) block of standard normals; rho and r0 = gamma/2 are
-    per-branch and rot = +1 or -1 is the data phase (0 or pi), all
-    broadcasting against (..., L).  Columns 0:4 give the fading pair,
-    a_curr = rho a_prev + sqrt(1 - rho^2) innovation, each of power 2 r0;
-    columns 4:8 give the noise, so z_prev = a_prev + n_prev and
-    z_curr = rot a_curr + n_curr with eb = n0 = 1.
-    """
-    sd = np.sqrt(r0)
-    a_prev = sd * (g[..., 0] + 1j * g[..., 1])
-    a_curr = rho * a_prev + np.sqrt(1.0 - rho ** 2) * sd * (g[..., 2] + 1j * g[..., 3])
-    nsd = math.sqrt(0.5)
-    z_prev = a_prev + nsd * (g[..., 4] + 1j * g[..., 5])
-    z_curr = rot * a_curr + nsd * (g[..., 6] + 1j * g[..., 7])
-    return z_prev, z_curr
-
-
-def decide(z_prev: np.ndarray, z_curr: np.ndarray, weights) -> np.ndarray:
-    """Sign detector over (..., L) outputs: True (bit 1) where
-    Re[sum_i w_i z_curr_i conj(z_prev_i)] < 0.
-
-    An exactly zero statistic decides 0 (measure-zero tie, fixed for
-    determinism).
-    """
-    stat = (z_curr * np.conj(z_prev)).real @ weights
-    return stat < 0.0
-
-
-def _detector_weights(cfg: DiversityConfig) -> np.ndarray:
-    if cfg.detector is Detector.OPTIMUM:
-        return np.array(optimum_weights(cfg.branches))
-    return np.ones(len(cfg.branches))
-
-
 def _ci95(errors: int, trials: int) -> float:
     p = errors / trials
     return 1.96 * math.sqrt(p * (1.0 - p) / trials)
@@ -105,23 +84,43 @@ def _batch_rng(seed: int, batch: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=batch << 64))
 
 
-def _count_errors(rng: np.random.Generator, n: int, rho: np.ndarray, r0: np.ndarray,
-                  weights: np.ndarray) -> int:
-    bits = rng.random(n) < 0.5
-    rot = np.where(bits, -1.0, 1.0)[:, None]
-    u = np.empty((min(n, _SUB_BLOCK), len(rho), 8))
-    errors = 0
+def _coefficients(cfg: DiversityConfig):
+    """Per-branch (a, b) of the bit-0 statistic sum_i a_i (v0^2 + v1^2) +
+    b_i (v0 v2 + v1 v3), with w_i the detector's weights:
+    a_i = w_i rho_i gamma_i / 2 and
+    b_i = w_i sqrt(1 + gamma_i (1 - rho_i)) sqrt(1 + gamma_i (1 + rho_i)) / 2.
+
+    b is a product of two roots: the product under one root overflows from
+    gamma ~ 1e154.
+    """
+    branches = cfg.branches
+    weights = (optimum_weights(branches) if cfg.detector is Detector.OPTIMUM
+               else [1.0] * len(branches))
+    a = [0.5 * w * br.rho * br.gamma for w, br in zip(weights, branches)]
+    b = [0.5 * w * math.sqrt(1.0 + br.gamma * (1.0 - br.rho))
+         * math.sqrt(1.0 + br.gamma * (1.0 + br.rho)) for w, br in zip(weights, branches)]
+    return np.array(a), np.array(b)
+
+
+def _statistic(v: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Detector statistic of each trial of an (m, 4, L) block of normals."""
+    return (v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1]) @ a + (v[:, 0] * v[:, 2] + v[:, 1] * v[:, 3]) @ b
+
+
+def _count_errors(rng: np.random.Generator, n: int, a: np.ndarray, b: np.ndarray) -> int:
+    u = np.empty((min(n, _SUB_BLOCK), 4, len(a)))
+    errors = ties = 0
     for s in range(0, n, _SUB_BLOCK):
-        m = min(_SUB_BLOCK, n - s)
-        g = rng.standard_normal(out=u[:m])
-        z_prev, z_curr = observe(g, rho, r0, rot[s:s + m])
-        errors += int(np.count_nonzero(decide(z_prev, z_curr, weights) != bits[s:s + m]))
-    return errors
+        stat = _statistic(rng.standard_normal(out=u[:min(_SUB_BLOCK, n - s)]), a, b)
+        errors += int(np.count_nonzero(stat < 0.0))
+        ties += int(np.count_nonzero(stat == 0.0))
+    # a tie decides 0: an error for bit 1 only, so half of them, drawn
+    return errors + int(rng.binomial(ties, 0.5))
 
 
 def estimate_bep(cfg: DiversityConfig, trials: int, seed: int, workers: int = 1,
                  stop_rel_tol: Optional[float] = None) -> BepEstimate:
-    """Estimate the bit error probability by simulating random bits.
+    """Estimate the bit error probability by Monte Carlo over the link model.
 
     Batch totals are worker-count invariant.  With stop_rel_tol set, the run
     ends after the first batch, in batch order, at which the 95% half-width
@@ -138,15 +137,13 @@ def estimate_bep(cfg: DiversityConfig, trials: int, seed: int, workers: int = 1,
     if stop_rel_tol is not None and not stop_rel_tol > 0.0:
         raise ConfigError(f"stop_rel_tol={stop_rel_tol} must be positive")
     seed = int(seed) & _MASK64
-    rho = np.array([br.rho for br in cfg.branches])
-    r0 = np.array([0.5 * br.gamma for br in cfg.branches])
-    weights = _detector_weights(cfg)
+    coef = _coefficients(cfg)
 
     n_batches = (trials + TRIALS_PER_BATCH - 1) // TRIALS_PER_BATCH
 
     def run_batch(b: int) -> int:
         size = min(TRIALS_PER_BATCH, trials - b * TRIALS_PER_BATCH)
-        return _count_errors(_batch_rng(seed, b), size, rho, r0, weights)
+        return _count_errors(_batch_rng(seed, b), size, *coef)
 
     errors = done = 0
     early = False

@@ -1,0 +1,66 @@
+"""Link-level reference for the simulator kernel.
+
+observe draws each branch's fading and noise apart, from 8 standard normals,
+and decide is the weighted complex sign detector; loglik_metric scores the
+two hypotheses by maximum likelihood.  The tests check the channel model and
+the detector on these functions, and check that dpskdiv.simulate, which
+draws only the pair (z_prev, z_curr) conditioned on bit 0, reproduces their
+statistic and error rate.  Nothing in dpskdiv calls this.
+"""
+
+import math
+
+import numpy as np
+
+from dpskdiv import ConfigError
+
+
+def observe(g: np.ndarray, rho, r0, rot):
+    """Matched-filter outputs (z_prev, z_curr) of two adjacent bits.
+
+    g is a (..., L, 8) block of standard normals; rho and r0 = gamma/2 are
+    per-branch and rot = +1 or -1 is the data phase (0 or pi), all
+    broadcasting against (..., L).  Columns 0:4 give the fading pair,
+    a_curr = rho a_prev + sqrt(1 - rho^2) innovation, each of power 2 r0;
+    columns 4:8 give the noise, so z_prev = a_prev + n_prev and
+    z_curr = rot a_curr + n_curr with eb = n0 = 1.
+    """
+    sd = np.sqrt(r0)
+    a_prev = sd * (g[..., 0] + 1j * g[..., 1])
+    a_curr = rho * a_prev + np.sqrt(1.0 - rho ** 2) * sd * (g[..., 2] + 1j * g[..., 3])
+    nsd = math.sqrt(0.5)
+    z_prev = a_prev + nsd * (g[..., 4] + 1j * g[..., 5])
+    z_curr = rot * a_curr + nsd * (g[..., 6] + 1j * g[..., 7])
+    return z_prev, z_curr
+
+
+def decide(z_prev: np.ndarray, z_curr: np.ndarray, weights) -> np.ndarray:
+    """Sign detector over (..., L) outputs: True (bit 1) where
+    Re[sum_i w_i z_curr_i conj(z_prev_i)] < 0.
+
+    An exactly zero statistic decides 0 (measure-zero tie, fixed for
+    determinism).
+    """
+    stat = (z_curr * np.conj(z_prev)).real @ weights
+    return stat < 0.0
+
+
+def loglik_metric(z_prev: np.ndarray, z_curr: np.ndarray, rho, r0, m: int):
+    """Log-likelihood of (..., L) outputs under phase difference pi*m.
+
+    Sums over the last axis, per branch, the log density of z_curr
+    conditioned on z_prev (a complex Gaussian whose mean is proportional to
+    z_prev rotated by the hypothesis) plus the marginal log density of
+    z_prev, with eb = n0 = 1; the hypothesis-independent constant is
+    dropped.
+    """
+    if m not in (0, 1):
+        raise ConfigError(f"hypothesis m must be 0 or 1, got {m}")
+    sign = 1.0 if m == 0 else -1.0
+    r1 = rho * r0
+    s2 = 2.0 * r0 + 1.0
+    mean_coef = 2.0 * r1 / s2
+    var_c = s2 - (2.0 * r1) ** 2 / s2
+    diff = z_curr - sign * mean_coef * z_prev
+    return np.sum(-np.log(np.pi * var_c) - np.abs(diff) ** 2 / var_c
+                  - np.log(np.pi * s2) - np.abs(z_prev) ** 2 / s2, axis=-1)

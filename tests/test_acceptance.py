@@ -24,10 +24,9 @@ from dpskdiv import (
     rho_from_doppler,
 )
 from dpskdiv.cli import main as cli_main
-from dpskdiv.simulate import decide, observe
 
 import mp_oracle as oracle
-from ml_reference import loglik_metric
+from link_reference import decide, loglik_metric, observe
 
 
 def _report(capsys, name, ok, detail=""):

@@ -17,9 +17,9 @@ from dpskdiv import (
     rho_from_doppler,
 )
 from dpskdiv import simulate
-from dpskdiv.simulate import _batch_rng, decide, observe
+from dpskdiv.simulate import _batch_rng
 
-from ml_reference import loglik_metric
+from link_reference import decide, loglik_metric, observe
 
 
 def normals(seed, n, l=1):
@@ -219,6 +219,19 @@ def test_estimate_coin_flip_channel():
     assert abs(est.p_hat - 0.5) < 3.0 * est.ci95_halfwidth
 
 
+@pytest.mark.parametrize("pairs, seed", [
+    (((0.0, 4.0), (0.0, 9.0)), 103),
+    (((0.9, 0.0),), 104),
+    (((0.0, 5.0), (0.9, 0.0)), 105),
+])
+def test_estimate_coin_flip_optimum_ties(pairs, seed):
+    # every rho gamma = 0 makes every optimum weight 0: the statistic is 0 in
+    # every trial, a tie decides 0, and half the bits are 1
+    cfg = DiversityConfig(tuple(BranchParams(r, g) for r, g in pairs), Detector.OPTIMUM)
+    est = estimate_bep(cfg, 1 << 18, seed=seed)
+    assert abs(est.p_hat - 0.5) < 3.0 * est.ci95_halfwidth
+
+
 def test_estimate_deterministic():
     cfg = DiversityConfig((BranchParams(0.975, 5.0), BranchParams(0.9, 20.0)),
                           Detector.OPTIMUM)
@@ -270,64 +283,99 @@ GOLDEN_BRANCHES = {
     8: [(0.8, 0.3), (0.85, 0.5), (0.88, 0.8), (0.9, 1.0),
         (0.92, 1.5), (0.94, 2.0), (0.96, 3.0), (0.98, 4.0)],
 }
-# stream v2 errors for (L, detector, trials) at seed 2024 + L; 200 000 trials end
+# stream v3 errors for (L, detector, trials) at seed 2024 + L; 200 000 trials end
 # mid-batch and 262 144 = 2 * 2**17 end on a batch boundary
 GOLDEN_ERRORS = {
-    (1, Detector.OPTIMUM, 200_000): 11524, (1, Detector.OPTIMUM, 262_144): 14926,
-    (1, Detector.SUBOPTIMUM, 200_000): 11524, (1, Detector.SUBOPTIMUM, 262_144): 14926,
-    (2, Detector.OPTIMUM, 200_000): 4730, (2, Detector.OPTIMUM, 262_144): 6273,
-    (2, Detector.SUBOPTIMUM, 200_000): 6179, (2, Detector.SUBOPTIMUM, 262_144): 8095,
-    (4, Detector.OPTIMUM, 200_000): 15, (4, Detector.OPTIMUM, 262_144): 26,
-    (4, Detector.SUBOPTIMUM, 200_000): 33, (4, Detector.SUBOPTIMUM, 262_144): 47,
-    (8, Detector.OPTIMUM, 200_000): 1519, (8, Detector.SUBOPTIMUM, 200_000): 1727,
+    (1, Detector.OPTIMUM, 200_000): 11440, (1, Detector.OPTIMUM, 262_144): 15051,
+    (1, Detector.SUBOPTIMUM, 200_000): 11440, (1, Detector.SUBOPTIMUM, 262_144): 15051,
+    (2, Detector.OPTIMUM, 200_000): 4716, (2, Detector.OPTIMUM, 262_144): 6128,
+    (2, Detector.SUBOPTIMUM, 200_000): 6035, (2, Detector.SUBOPTIMUM, 262_144): 7846,
+    (4, Detector.OPTIMUM, 200_000): 5, (4, Detector.OPTIMUM, 262_144): 11,
+    (4, Detector.SUBOPTIMUM, 200_000): 21, (4, Detector.SUBOPTIMUM, 262_144): 32,
+    (8, Detector.OPTIMUM, 200_000): 1588, (8, Detector.SUBOPTIMUM, 200_000): 1800,
 }
 
 
 @pytest.mark.parametrize("l, det, trials", sorted(GOLDEN_ERRORS, key=str))
 def test_estimate_golden_stream(l, det, trials):
     # pins the random stream: a kernel change that alters the draw order or
-    # the arithmetic of the channel changes these counts
+    # the arithmetic of the statistic changes these counts
     cfg = DiversityConfig(tuple(BranchParams(r, g) for r, g in GOLDEN_BRANCHES[l]), det)
     est = estimate_bep(cfg, trials, seed=2024 + l)
     assert est.trials == trials
     assert est.errors == GOLDEN_ERRORS[(l, det, trials)]
 
 
-def kernel_inputs(branches):
-    rho = np.array([r for r, _ in branches])
-    r0 = np.array([0.5 * g for _, g in branches])
-    weights = optimum_weights([BranchParams(r, g) for r, g in branches])
-    return rho, r0, (np.array(weights), np.ones(len(branches)))
+def coefficients(branches, det):
+    return simulate._coefficients(DiversityConfig(tuple(BranchParams(r, g) for r, g in branches), det))
 
 
 @pytest.mark.parametrize("n", [1, 10, 4321])
 def test_sub_blocks_match_one_draw(monkeypatch, n):
     # sub-blocks of a size that divides neither n nor the batch, and batches
-    # smaller than one sub-block, give the errors of one whole-block draw
+    # smaller than one sub-block, give the errors of one whole-block draw; the
+    # all-zero optimum weights make every trial a tie, drawn after the block
     monkeypatch.setattr(simulate, "_SUB_BLOCK", 1000)
-    rho, r0, weight_kinds = kernel_inputs([(0.8, 0.3), (0.9, 1.0), (0.95, 2.0)])
-    for weights in weight_kinds:
+    for branches, det in (([(0.8, 0.3), (0.9, 1.0), (0.95, 2.0)], Detector.OPTIMUM),
+                          ([(0.8, 0.3), (0.9, 1.0), (0.95, 2.0)], Detector.SUBOPTIMUM),
+                          ([(0.0, 4.0), (0.0, 9.0)], Detector.OPTIMUM)):
+        a, b = coefficients(branches, det)
         ref = _batch_rng(77, 3)
-        bits = ref.random(n) < 0.5
-        g = ref.standard_normal((n, len(rho), 8))
-        z_prev, z_curr = observe(g, rho, r0, np.where(bits, -1.0, 1.0)[:, None])
-        expect = int(np.count_nonzero(decide(z_prev, z_curr, weights) != bits))
+        stat = simulate._statistic(ref.standard_normal((n, 4, len(a))), a, b)
+        expect = int(np.count_nonzero(stat < 0.0)) + int(ref.binomial(np.count_nonzero(stat == 0.0), 0.5))
         rng = _batch_rng(77, 3)
-        assert simulate._count_errors(rng, n, rho, r0, weights) == expect
+        assert simulate._count_errors(rng, n, a, b) == expect
         assert rng.random() == ref.random()  # both consumed the same draws
 
 
 def test_batch_peak_memory():
-    # the whole (2**17, 4, 8) block and its complex temporaries take
-    # 112 MiB; sub-blocks keep one batch to a few MiB
-    rho, r0, (weights, _) = kernel_inputs(GOLDEN_BRANCHES[4])
+    # the whole (2**17, 4, 4) block and its temporaries take WHOLE MiB;
+    # sub-blocks keep one batch to a few MiB
+    a, b = coefficients(GOLDEN_BRANCHES[4], Detector.OPTIMUM)
     tracemalloc.start()
     try:
-        simulate._count_errors(_batch_rng(1, 0), simulate.TRIALS_PER_BATCH, rho, r0, weights)
+        simulate._count_errors(_batch_rng(1, 0), simulate.TRIALS_PER_BATCH, a, b)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= 16 * 2**20
+
+
+@pytest.mark.parametrize("det", list(Detector))
+@pytest.mark.parametrize("rho, gamma", [(0.9, 10.0), (1.0, 1e3), (0.0, 4.0)])
+def test_kernel_statistic_matches_link_reference(rho, gamma, det):
+    # one branch: the kernel's bit-0 statistic and w Re(z_curr conj(z_prev))
+    # of the 8-normal link model have the same mean and the same variance
+    n = 2 * 10**5
+    a, b = coefficients([(rho, gamma)], det)
+    kernel = simulate._statistic(np.random.default_rng(30).standard_normal((n, 4, 1)), a, b)
+    z_prev, z_curr = observe(np.random.default_rng(31).standard_normal((n, 1, 8)), rho, 0.5 * gamma, 1.0)
+    (w,) = optimum_weights([BranchParams(rho, gamma)]) if det is Detector.OPTIMUM else (1.0,)
+    ref = w * (z_curr * np.conj(z_prev)).real[:, 0]
+    for x, y in ((kernel, ref), ((kernel - kernel.mean()) ** 2, (ref - ref.mean()) ** 2)):
+        assert abs(x.mean() - y.mean()) <= 4.0 * math.sqrt((x.var() + y.var()) / n)
+
+
+@pytest.mark.parametrize("det, seed", [(Detector.OPTIMUM, 40), (Detector.SUBOPTIMUM, 42)])
+def test_estimate_matches_link_reference(det, seed):
+    # the kernel, conditioned on bit 0, and the link model with random bits
+    # give the same error rate at one L = 3 point
+    branches = (BranchParams(0.9, 2.0), BranchParams(0.975, 5.0), BranchParams(0.99, 1.0))
+    cfg = DiversityConfig(branches, det)
+    n, chunk = 1 << 18, 1 << 15
+    est = estimate_bep(cfg, n, seed=seed)
+    rho = np.array([br.rho for br in branches])
+    r0 = np.array([0.5 * br.gamma for br in branches])
+    weights = optimum_weights(branches) if det is Detector.OPTIMUM else np.ones(len(branches))
+    rng = np.random.default_rng(seed + 1)
+    errors = 0
+    for _ in range(n // chunk):
+        bits = rng.random(chunk) < 0.5
+        g = rng.standard_normal((chunk, len(branches), 8))
+        z_prev, z_curr = observe(g, rho, r0, np.where(bits, -1.0, 1.0)[:, None])
+        errors += int(np.count_nonzero(decide(z_prev, z_curr, weights) != bits))
+    p = (est.errors + errors) / (2 * n)
+    assert abs(est.errors - errors) / n < 4.0 * math.sqrt(2.0 * p * (1.0 - p) / n)
 
 
 def test_estimate_invalid_arguments():
