@@ -35,7 +35,7 @@ from .errors import ConfigError, ConvergenceError
 
 _LN2 = math.log(2.0)
 
-RHO_QUAD_TOL = 1e-10
+RHO_QUAD_TOL = 1e-13  # relative to the scale of the R(1) sum: see rho_from_doppler
 RHO_ORDER_CAP = 512
 DEFAULT_QUAD_ORDER = 16
 
@@ -176,33 +176,42 @@ def _gauss_legendre(n: int) -> Tuple[Tuple[float, float], ...]:
 
     Each root of P_n in (0, 1) comes from Newton's method on the three-term
     recurrence, started at Tricomi's estimate; the weight is
-    2 / ((1 - x^2) P_n'(x)^2).  The negative roots mirror the positive ones.
-    n never exceeds RHO_ORDER_CAP, so the cache stays small.
+    2 / ((1 - x^2) P_n'(x)^2), with P_n' taken again at the final node,
+    since the last Newton step moved it.  The negative roots mirror the
+    positive ones.  n never exceeds RHO_ORDER_CAP, so the cache stays small.
     """
+    def legendre(x):
+        # P_n(x) and P_n'(x)
+        p_prev, p = 1.0, x
+        for k in range(2, n + 1):
+            p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
+        return p, n * (x * p - p_prev) / (x * x - 1.0)
+
     half = []
     for i in range(1, (n + 1) // 2 + 1):
         x = (1.0 - (n - 1) / (8.0 * n ** 3)) * math.cos(math.pi * (i - 0.25) / (n + 0.5))
         for _ in range(100):
-            p_prev, p = 1.0, x
-            for k in range(2, n + 1):
-                p_prev, p = p, ((2 * k - 1) * x * p - (k - 1) * p_prev) / k
-            dp = n * (x * p - p_prev) / (x * x - 1.0)
+            p, dp = legendre(x)
             step = p / dp
             x -= step
             if abs(step) < 1e-15:
                 break
+        dp = legendre(x)[1]
         half.append((x, 2.0 / ((1.0 - x * x) * dp * dp)))
     # for odd n the last root is the middle node 0, which has no mirror
     return tuple(half + [(-x, w) for x, w in half[: n // 2]])
 
 
-def _rho_at(cov, edges, n: int) -> float:
-    """R(1)/R(0) with the n-point Gauss-Legendre rule on each piece of edges.
+def _rho_at(cov, edges, n: int) -> Tuple[float, float]:
+    """R(1)/R(0) with the n-point Gauss-Legendre rule on each piece of edges,
+    and its scale: the sum of |R(1) terms| over R(0).
 
     With r even, R(0) = int_0^2 2 max(0, 1 - s) r(s) ds and
     R(1) = int_0^2 (1 - |s - 1|) r(s) ds, so one pass over the nodes gives
     both.  The R(1) weight is formed as min(s, 2 - s), exact in floating
-    point: 1 - |s - 1| loses the small s on which a narrow peak sits.
+    point: 1 - |s - 1| loses the small s on which a narrow peak sits.  The
+    scale bounds the rounding error of the R(1) sum, which cancels where r
+    oscillates, relative to R(0).
     """
     rule = _gauss_legendre(n)
     r0, r1 = [], []
@@ -216,7 +225,9 @@ def _rho_at(cov, edges, n: int) -> float:
     # R(0) is 0 where the covariance underflows at every node (a Gaussian
     # whose (pi fdT)^2 / ln 2 overflows): nan never converges
     r0 = math.fsum(r0)
-    return math.fsum(r1) / r0 if r0 else math.nan
+    if not r0:
+        return math.nan, math.nan
+    return math.fsum(r1) / r0, math.fsum(map(abs, r1)) / r0
 
 
 def rho_from_doppler(spec: DopplerSpec, quad_order: int = DEFAULT_QUAD_ORDER) -> float:
@@ -226,7 +237,11 @@ def rho_from_doppler(spec: DopplerSpec, quad_order: int = DEFAULT_QUAD_ORDER) ->
     every table knot and, for a Gaussian with fdT > 2, at 2/fdT, so that
     each piece is smooth.  An n-point Gauss-Legendre rule runs on every
     piece, starting at n = quad_order and doubling n until successive
-    estimates differ by less than 1e-10, capped at 512 nodes per piece.  A
+    estimates differ by at most RHO_QUAD_TOL = 1e-13 times the scale of the
+    R(1) sum, the sum of its terms' magnitudes over R(0), capped at 512
+    nodes per piece.  The test is relative, so a tiny rho converges to
+    working precision whatever quad_order, and the scale allows for the
+    cancellation in R(1) where the covariance oscillates.  A
     piecewise-linear table makes each piece a quadratic, so it converges at
     the first doubling.
 
@@ -261,14 +276,15 @@ def rho_from_doppler(spec: DopplerSpec, quad_order: int = DEFAULT_QUAD_ORDER) ->
                           f"for one doubling below the order cap {RHO_ORDER_CAP}")
     cov, edges = _covariance(spec)
     n = quad_order
-    previous, last = None, _rho_at(cov, edges, n)
+    previous, (last, _) = None, _rho_at(cov, edges, n)
     while 2 * n <= RHO_ORDER_CAP:
         n *= 2
-        previous, last = last, _rho_at(cov, edges, n)
-        if abs(last - previous) < RHO_QUAD_TOL:
+        previous, (last, scale) = last, _rho_at(cov, edges, n)
+        if abs(last - previous) <= RHO_QUAD_TOL * scale:
             return min(1.0, max(-1.0, last))
     raise ConvergenceError(
-        f"rho quadrature not converged to {RHO_QUAD_TOL} by {RHO_ORDER_CAP} nodes per piece",
+        f"rho quadrature not converged to {RHO_QUAD_TOL} of its scale by {RHO_ORDER_CAP} "
+        "nodes per piece",
         last=last,
         previous=previous,
     )
