@@ -65,8 +65,6 @@ class ResultRow:
 
 _COLUMNS = fields(ResultRow)
 CSV_HEADER = ",".join(c.name for c in _COLUMNS)
-# the parser of a column, by the conversion letter that ends its format
-_PARSERS = {"g": float, "e": float, "s": str, "d": int}
 
 
 def _grid_values(start: float, stop: float, step: float) -> List[float]:
@@ -120,21 +118,6 @@ class SweepSpec:
 def format_row(row: ResultRow) -> str:
     values = ((c.metadata["fmt"], getattr(row, c.name)) for c in _COLUMNS)
     return ",".join("" if v is None else fmt % v for fmt, v in values)
-
-
-def parse_rows(text: str) -> List[ResultRow]:
-    """Parse CSV produced by this module back into ResultRows."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != CSV_HEADER:
-        raise ConfigError("missing or unexpected CSV header")
-    rows = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != len(_COLUMNS):
-            raise ConfigError(f"malformed CSV row: {ln!r}")
-        rows.append(ResultRow(**{c.name: None if s == "" else _PARSERS[c.metadata["fmt"][-1]](s)
-                                 for c, s in zip(_COLUMNS, parts)}))
-    return rows
 
 
 def _row(cfg: DiversityConfig, outputs: Sequence[str], **columns) -> ResultRow:

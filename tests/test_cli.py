@@ -5,13 +5,33 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
 import dpskdiv
 import mp_oracle
 from dpskdiv import ConfigError, Detector
-from dpskdiv.cli import CSV_HEADER, SweepSpec, format_row, main, parse_rows, sweep_rows
+from dpskdiv.cli import CSV_HEADER, ResultRow, SweepSpec, format_row, main, sweep_rows
+
+# the parser of a column, by the conversion letter that ends its format
+_PARSERS = {"g": float, "e": float, "s": str, "d": int}
+
+
+def parse_rows(text):
+    """Parse CSV produced by dpskdiv.cli back into ResultRows."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines or lines[0] != CSV_HEADER:
+        raise ValueError("missing or unexpected CSV header")
+    columns = fields(ResultRow)
+    rows = []
+    for ln in lines[1:]:
+        parts = ln.split(",")
+        if len(parts) != len(columns):
+            raise ValueError(f"malformed CSV row: {ln!r}")
+        rows.append(ResultRow(**{c.name: None if s == "" else _PARSERS[c.metadata["fmt"][-1]](s)
+                                 for c, s in zip(columns, parts)}))
+    return rows
 
 
 def run_cli(capsys, *argv):
