@@ -50,7 +50,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -84,7 +84,7 @@ def _batch_rng(seed: int, batch: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=batch << 64))
 
 
-def _coefficients(cfg: DiversityConfig):
+def _coefficients(cfg: DiversityConfig) -> Tuple[np.ndarray, np.ndarray]:
     """Per-branch (a, b) of the bit-0 statistic sum_i a_i (v0^2 + v1^2) +
     b_i (v0 v2 + v1 v3), with w_i the detector's weights:
     a_i = w_i rho_i gamma_i / 2 and
@@ -114,7 +114,7 @@ def _count_errors(rng: np.random.Generator, n: int, a: np.ndarray, b: np.ndarray
         stat = _statistic(rng.standard_normal(out=u[:min(_SUB_BLOCK, n - s)]), a, b)
         errors += int(np.count_nonzero(stat < 0.0))
         ties += int(np.count_nonzero(stat == 0.0))
-    # a tie decides 0: an error for bit 1 only, so half of them, drawn
+    # a tie decides 0, an error for bit 1 only: each is an error with probability 1/2
     return errors + int(rng.binomial(ties, 0.5))
 
 
