@@ -23,7 +23,7 @@ from link_reference import decide, loglik_metric, observe
 
 
 def normals(seed, n, l=1):
-    """The kernel's (n, L, 8) block of standard normals."""
+    """An (n, L, 8) block of standard normals for the link reference."""
     return np.random.default_rng(seed).standard_normal((n, l, 8))
 
 
@@ -307,7 +307,8 @@ def test_estimate_golden_stream(l, det, trials):
 
 
 def coefficients(branches, det):
-    return simulate._coefficients(DiversityConfig(tuple(BranchParams(r, g) for r, g in branches), det))
+    cfg = DiversityConfig(tuple(BranchParams(r, g) for r, g in branches), det)
+    return simulate._coefficients(cfg)
 
 
 @pytest.mark.parametrize("n", [1, 10, 4321])
@@ -322,14 +323,15 @@ def test_sub_blocks_match_one_draw(monkeypatch, n):
         a, b = coefficients(branches, det)
         ref = _batch_rng(77, 3)
         stat = simulate._statistic(ref.standard_normal((n, 4, len(a))), a, b)
-        expect = int(np.count_nonzero(stat < 0.0)) + int(ref.binomial(np.count_nonzero(stat == 0.0), 0.5))
+        ties = np.count_nonzero(stat == 0.0)
+        expect = int(np.count_nonzero(stat < 0.0)) + int(ref.binomial(ties, 0.5))
         rng = _batch_rng(77, 3)
         assert simulate._count_errors(rng, n, a, b) == expect
         assert rng.random() == ref.random()  # both consumed the same draws
 
 
 def test_batch_peak_memory():
-    # the whole (2**17, 4, 4) block and its temporaries take WHOLE MiB;
+    # the whole (2**17, 4, 4) block and its temporaries take 25 MiB;
     # sub-blocks keep one batch to a few MiB
     a, b = coefficients(GOLDEN_BRANCHES[4], Detector.OPTIMUM)
     tracemalloc.start()
@@ -349,7 +351,8 @@ def test_kernel_statistic_matches_link_reference(rho, gamma, det):
     n = 2 * 10**5
     a, b = coefficients([(rho, gamma)], det)
     kernel = simulate._statistic(np.random.default_rng(30).standard_normal((n, 4, 1)), a, b)
-    z_prev, z_curr = observe(np.random.default_rng(31).standard_normal((n, 1, 8)), rho, 0.5 * gamma, 1.0)
+    g = np.random.default_rng(31).standard_normal((n, 1, 8))
+    z_prev, z_curr = observe(g, rho, 0.5 * gamma, 1.0)
     (w,) = optimum_weights([BranchParams(rho, gamma)]) if det is Detector.OPTIMUM else (1.0,)
     ref = w * (z_curr * np.conj(z_prev)).real[:, 0]
     for x, y in ((kernel, ref), ((kernel - kernel.mean()) ** 2, (ref - ref.mean()) ** 2)):
