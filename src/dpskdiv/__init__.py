@@ -2,10 +2,8 @@
 Rayleigh fading branches: exact closed-form BEP, Chernoff bounds, Doppler-
 spectrum-derived fading correlation, and a Monte Carlo link simulator.
 
-The simulator needs numpy and nothing else does, so its names load on first
-use (PEP 562) and the closed-form path never imports numpy."""
-
-import importlib
+Only the simulator needs numpy, and it imports numpy when it first runs, so
+importing the package and the closed-form path load no numpy."""
 
 from .bep import (
     ChernoffResult,
@@ -24,6 +22,7 @@ from .channel import (
     rho_from_doppler,
 )
 from .errors import ConfigError, ConvergenceError
+from .simulate import BepEstimate, estimate_bep
 
 __version__ = "0.1.0"
 
@@ -45,17 +44,3 @@ __all__ = [
     "power_split",
     "rho_from_doppler",
 ]
-
-
-def __getattr__(name):
-    # The names in __all__ that the imports above leave unbound are the
-    # simulator's.  import_module, not `from . import simulate`: the import
-    # machinery probes hasattr(package, "simulate"), which would recurse.
-    if name == "simulate" or name in __all__:
-        simulate = importlib.import_module(".simulate", __name__)
-        return simulate if name == "simulate" else getattr(simulate, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))

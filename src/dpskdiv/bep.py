@@ -127,11 +127,14 @@ def power_split(gamma_b_db: float, eta: float) -> Tuple[float, float]:
     return eta * total, (1.0 - eta) * total
 
 
-def _chernoff(alphas: Sequence[float], betas: Sequence[float], s: float,
+def _chernoff(alphas: Sequence[float], betas: Sequence[float], t: float, s: float,
               improved: bool) -> ChernoffResult:
-    """prod_i 1 / [(1 + 4 s alpha_i)(1 - 4 s beta_i)], halved when improved,
-    evaluated through its log, -sum_i [log1p(4 s alpha_i) + log1p(-4 s beta_i)]."""
-    bound = math.exp(-math.fsum(math.log1p(4.0 * s * a) + math.log1p(-4.0 * s * b)
+    """prod_i 1 / [(1 + t alpha_i)(1 - t beta_i)], halved when improved,
+    evaluated through its log, -sum_i [log1p(t alpha_i) + log1p(-t beta_i)].
+
+    t = 4 s for the poles as _poles forms them, or 4 s c for poles scaled by
+    1/c; the result reports s."""
+    bound = math.exp(-math.fsum(math.log1p(t * a) + math.log1p(-t * b)
                                 for a, b in zip(alphas, betas)))
     if improved:
         bound *= 0.5
@@ -150,7 +153,7 @@ def chernoff_optimum(cfg: DiversityConfig, improved: bool = True) -> ChernoffRes
     if cfg.detector is not Detector.OPTIMUM:
         raise ConfigError("chernoff_optimum requires an optimum-detector config")
     alphas, betas = _poles(cfg)
-    return _chernoff(alphas, betas, 0.25, improved)
+    return _chernoff(alphas, betas, 1.0, 0.25, improved)
 
 
 def chernoff_suboptimum(cfg: DiversityConfig, improved: bool = True) -> ChernoffResult:
@@ -163,17 +166,24 @@ def chernoff_suboptimum(cfg: DiversityConfig, improved: bool = True) -> Chernoff
     locates the unique minimizer to full precision; when every
     rho_i gamma_i = 0 the derivative is positive throughout and the bisection
     ends at the lower end of the interval, where the bound is 1.
+
+    The bisection runs on t = 4 s c, with the poles scaled to alpha_i / c and
+    beta_i / c, where c is the power of two just above max_i beta_i: s itself
+    is subnormal once max_i beta_i exceeds ~1e295, where a bisection on s
+    stalls, but t and every term 4 s alpha_i = t alpha_i / c stay normal
+    floats.  Scaling by a power of two is exact, so wherever s is normal the
+    steps and the bound are those of a bisection on s.
     """
     if cfg.detector is not Detector.SUBOPTIMUM:
         raise ConfigError("chernoff_suboptimum requires a suboptimum-detector config")
     alphas, betas = _poles(cfg)
-    s_hi = 1.0 / (4.0 * max(betas))
-    lo = 1e-12 * s_hi
-    hi = (1.0 - 1e-12) * s_hi
+    c = math.ldexp(1.0, math.frexp(max(betas))[1])
+    alphas, betas = [a / c for a in alphas], [b / c for b in betas]
+    t_hi = 1.0 / max(betas)
+    lo, hi = 1e-12 * t_hi, (1.0 - 1e-12) * t_hi
 
-    def dlog_bound(s):
-        return sum(4.0 * b / (1.0 - 4.0 * s * b) - 4.0 * a / (1.0 + 4.0 * s * a)
-                   for a, b in zip(alphas, betas))
+    def dlog_bound(t):
+        return sum(b / (1.0 - t * b) - a / (1.0 + t * a) for a, b in zip(alphas, betas))
 
     while hi - lo > 1e-15 * hi:
         mid = 0.5 * (lo + hi)
@@ -181,4 +191,5 @@ def chernoff_suboptimum(cfg: DiversityConfig, improved: bool = True) -> Chernoff
             hi = mid
         else:
             lo = mid
-    return _chernoff(alphas, betas, 0.5 * (lo + hi), improved)
+    t = 0.5 * (lo + hi)
+    return _chernoff(alphas, betas, t, 0.25 * t / c, improved)

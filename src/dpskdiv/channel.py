@@ -65,7 +65,12 @@ class BranchParams:
 
 @dataclass(frozen=True)
 class DiversityConfig:
-    """Ordered branches plus the detector that combines them, checked when built."""
+    """Ordered branches plus the detector that combines them, checked when built.
+
+    Each branch needs 0 <= rho <= 1 and gamma >= 0 with 4*gamma finite, that
+    is gamma <= sys.float_info.max / 4 (~4.49e307): the poles and the
+    simulator's coefficients are sums of up to ~2 gamma.
+    """
 
     branches: Tuple[BranchParams, ...]
     detector: Detector
@@ -81,6 +86,8 @@ class DiversityConfig:
                 raise ConfigError(f"branch {i}: rho={br.rho} outside [0, 1]")
             if br.gamma < 0.0:
                 raise ConfigError(f"branch {i}: gamma={br.gamma} is negative")
+            if not math.isfinite(4.0 * br.gamma):
+                raise ConfigError(f"branch {i}: gamma={br.gamma} too large, 4*gamma must be finite")
         object.__setattr__(self, "branches", branches)
         if not isinstance(self.detector, Detector):
             raise ConfigError(f"unknown detector {self.detector!r}")

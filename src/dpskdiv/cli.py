@@ -38,6 +38,7 @@ from .channel import (
     rho_from_doppler,
 )
 from .errors import ConfigError, ConvergenceError
+from .simulate import estimate_bep
 
 WORKERS_ENV = "DPSKDIV_WORKERS"
 
@@ -133,8 +134,6 @@ def _row(cfg: DiversityConfig, outputs: Sequence[str], **columns) -> ResultRow:
 
 def sweep_rows(spec: SweepSpec) -> List[ResultRow]:
     """Evaluate a SweepSpec into result rows, lexicographic grid order."""
-    if "mc" in spec.outputs:
-        from .simulate import estimate_bep  # numpy: only the simulator needs it
     rows = []
     for gamma_b_db in _grid_values(spec.gamma_start, spec.gamma_stop, spec.gamma_step):
         for eta in sorted(spec.etas):

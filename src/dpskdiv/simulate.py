@@ -44,15 +44,17 @@ trials, reusing one buffer.  Filling consecutive slices continues the same
 stream, so the sub-blocks hold exactly the numbers of one whole-batch draw:
 the sub-block size bounds the memory per batch and is not a contract
 constant.
+
+numpy is imported inside the functions that draw and count, so importing
+this module, or reading TRIALS_PER_BATCH or BepEstimate, loads no numpy.
 """
 
+from __future__ import annotations
+
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import chain
 from typing import Optional, Tuple
-
-import numpy as np
 
 from .bep import optimum_weights
 from .channel import Detector, DiversityConfig
@@ -81,6 +83,7 @@ def _ci95(errors: int, trials: int) -> float:
 
 
 def _batch_rng(seed: int, batch: int) -> np.random.Generator:
+    import numpy as np
     return np.random.Generator(np.random.Philox(key=seed, counter=batch << 64))
 
 
@@ -93,6 +96,7 @@ def _coefficients(cfg: DiversityConfig) -> Tuple[np.ndarray, np.ndarray]:
     b is a product of two roots: the product under one root overflows from
     gamma ~ 1e154.
     """
+    import numpy as np
     branches = cfg.branches
     weights = (optimum_weights(branches) if cfg.detector is Detector.OPTIMUM
                else [1.0] * len(branches))
@@ -108,6 +112,7 @@ def _statistic(v: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _count_errors(rng: np.random.Generator, n: int, a: np.ndarray, b: np.ndarray) -> int:
+    import numpy as np
     u = np.empty((min(n, _SUB_BLOCK), 4, len(a)))
     errors = ties = 0
     for s in range(0, n, _SUB_BLOCK):
@@ -128,6 +133,7 @@ def estimate_bep(cfg: DiversityConfig, trials: int, seed: int, workers: int = 1,
     after it that a wave already ran are dropped, so an early-stopped result
     is also the same for every worker count, and it is flagged.
     """
+    from concurrent.futures import ThreadPoolExecutor
     trials = int(trials)
     if trials < 1:
         raise ConfigError(f"trials={trials} must be >= 1")
@@ -137,7 +143,11 @@ def estimate_bep(cfg: DiversityConfig, trials: int, seed: int, workers: int = 1,
     if stop_rel_tol is not None and not stop_rel_tol > 0.0:
         raise ConfigError(f"stop_rel_tol={stop_rel_tol} must be positive")
     seed = int(seed) & _MASK64
-    coef = _coefficients(cfg)
+    # only the statistic's sign counts: scaling it by a power of two is exact,
+    # and the largest coefficient in [0.5, 1) keeps it finite at any valid gamma
+    a, b = _coefficients(cfg)
+    scale = math.ldexp(1.0, -math.frexp(max(a.max(), b.max()))[1])
+    coef = (a * scale, b * scale)
 
     n_batches = (trials + TRIALS_PER_BATCH - 1) // TRIALS_PER_BATCH
 

@@ -1,10 +1,14 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
 import pytest
 
+import dpskdiv
 import mp_oracle as oracle
 from dpskdiv import (
     BranchParams,
@@ -151,6 +155,42 @@ def test_suboptimum_dominates_exact_on_grid():
                 if p > chernoff_suboptimum(cfg, improved=False).bound:
                     violations += 1
     assert violations == 0
+
+
+HUGE_GAMMA_SCRIPT = """
+from dpskdiv import BranchParams, Detector, DiversityConfig, chernoff_suboptimum
+for gamma in (1e298, 1e300):
+    for rho in (0.0, 1e-20):
+        cfg = DiversityConfig((BranchParams(rho, gamma),), Detector.SUBOPTIMUM)
+        print(*(chernoff_suboptimum(cfg, improved).bound for improved in (False, True)))
+"""
+
+
+def test_suboptimum_returns_at_huge_gamma():
+    # s is subnormal here, where a bisection on s itself can stall between
+    # adjacent subnormals, so this runs in a child that the timeout stops;
+    # with rho gamma negligible against gamma the bound is 1, halved when
+    # improved
+    src = os.path.dirname(os.path.dirname(dpskdiv.__file__))
+    proc = subprocess.run([sys.executable, "-c", HUGE_GAMMA_SCRIPT],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert [float(x) for x in proc.stdout.split()] == [1.0, 0.5] * 4
+
+
+@pytest.mark.parametrize("gamma", [3e307, sys.float_info.max / 4], ids=["3e307", "limit"])
+def test_results_at_largest_gammas_match_1e300(gamma):
+    # every pole scales with gamma, so the results reach a limit; here both
+    # ends of the suboptimum bound's bracket in s are subnormal
+    def results(g):
+        pairs = ((0.5, g), (0.25, g))
+        return (exact_bep(opt_cfg(*pairs)), exact_bep(sub_cfg(*pairs)),
+                chernoff_optimum(opt_cfg(*pairs)).bound,
+                chernoff_suboptimum(sub_cfg(*pairs)).bound,
+                chernoff_suboptimum(sub_cfg(*pairs), improved=False).bound)
+
+    assert results(gamma) == pytest.approx(results(1e300), rel=1e-14)
 
 
 def test_suboptimum_requires_matching_detector():

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given
@@ -39,6 +40,15 @@ def test_nan_rejected():
         cfg_of((math.nan, 1.0))
     with pytest.raises(ConfigError, match="branch 0"):
         cfg_of((0.5, math.nan))
+
+
+def test_gamma_limit_names_branch():
+    # 4*gamma must be finite: the poles and the simulator's coefficients are
+    # sums of up to ~2 gamma, and exact_bep reads 0 or nan from ~9e307
+    top = sys.float_info.max / 4
+    assert cfg_of((0.5, 1.0), (0.5, top)).branches[1].gamma == top
+    with pytest.raises(ConfigError, match="branch 1"):
+        cfg_of((0.5, 1.0), (0.5, math.nextafter(top, math.inf)))
 
 
 def test_bad_detector_rejected():

@@ -155,10 +155,13 @@ def test_sweep_empty_range_is_config_error(capsys):
 
 
 def test_out_of_range_db_is_config_error(capsys):
-    # a dB value that overflows a float, or a grid with a non-finite end or
-    # span, is a configuration error, not a traceback
+    # a dB value that overflows a float, a branch SNR above the domain
+    # (4*gamma overflows), or a grid with a non-finite end or span, is a
+    # configuration error, not a traceback
     argvs = [
         ["bep", "--gamma-db", "4000", "--rho", "0.9"],
+        ["bep", "--gamma-db", "3080,3080", "--rho", "0.5,0.25", "--detector", "suboptimum",
+         "--bound", "chernoff"],
         ["bep", "--gamma-b-db", "4000", "--eta", "0.1", "--rho", "0.9"],
         ["sweep", "--gamma-b-db-range=0:inf:1", "--eta", "0.1", "--rho", "0.9"],
         ["sweep", "--gamma-b-db-range=-inf:30:1", "--eta", "0.1", "--rho", "0.9"],
@@ -554,13 +557,15 @@ with contextlib.redirect_stdout(io.StringIO()):
 assert codes == [0, 0, 0, 0], codes
 assert "numpy" not in sys.modules, "a closed-form command imported numpy"
 import dpskdiv
-dir(dpskdiv)
-assert "numpy" not in sys.modules, "dir(dpskdiv) imported numpy"
+assert dpskdiv.simulate.TRIALS_PER_BATCH > 0
+assert dpskdiv.BepEstimate.__name__ == "BepEstimate"
+assert set(dpskdiv.__all__) <= set(dir(dpskdiv))
 for name in dpskdiv.__all__:
     getattr(dpskdiv, name)  # every exported name resolves
-assert dpskdiv.simulate.TRIALS_PER_BATCH > 0
-from dpskdiv import estimate_bep
-assert callable(estimate_bep)
+assert "numpy" not in sys.modules, "the simulator's names or constants imported numpy"
+cfg = dpskdiv.DiversityConfig((dpskdiv.BranchParams(0.9, 10.0),), dpskdiv.Detector.OPTIMUM)
+assert dpskdiv.estimate_bep(cfg, 10, seed=1).trials == 10
+assert "numpy" in sys.modules, "the simulator ran without numpy"
 """
 
 

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -379,6 +380,17 @@ def test_estimate_matches_link_reference(det, seed):
         errors += int(np.count_nonzero(decide(z_prev, z_curr, weights) != bits))
     p = (est.errors + errors) / (2 * n)
     assert abs(est.errors - errors) / n < 4.0 * math.sqrt(2.0 * p * (1.0 - p) / n)
+
+
+def test_estimate_at_largest_gamma_matches_1e300():
+    # the coefficients scale with gamma and only the statistic's sign counts,
+    # so the same draws give the same errors; eight branches at the largest
+    # valid gamma overflow the unscaled statistic in some trials
+    def errors(gamma):
+        cfg = DiversityConfig((BranchParams(0.3, gamma),) * 8, Detector.SUBOPTIMUM)
+        return estimate_bep(cfg, 4000, seed=5).errors
+
+    assert errors(sys.float_info.max / 4) == errors(1e300)
 
 
 def test_estimate_invalid_arguments():
