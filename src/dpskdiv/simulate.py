@@ -4,8 +4,8 @@ The detector sees branch i only through the matched-filter outputs
 (z_prev, z_curr) of two adjacent bits, and the Doppler spectrum enters
 solely through rho, computed by the channel module.  Given bit 0, the pair
 is zero-mean complex Gaussian with E|z|^2 = 1 + gamma and
-E[z_curr conj(z_prev)] = rho gamma (eb = n0 = 1), so a trial draws just
-the pair, from four standard normals v0..v3 per branch:
+E[z_curr conj(z_prev)] = rho gamma (eb = n0 = 1).  With four standard
+normals v0..v3 per branch it can be written
 
     z_prev = sqrt((1 + gamma) / 2) (v0 + i v1),
     z_curr = c z_prev + sqrt(e / 2) (v2 + i v3),
@@ -14,36 +14,54 @@ the pair, from four standard normals v0..v3 per branch:
 
 Bit 1 flips the sign of z_curr, which maps it onto bit 0 exactly, so the
 kernel conditions on bit 0.  The statistic sum_i w_i Re(z_curr conj(z_prev))
-is then sum_i a_i (v0^2 + v1^2) + b_i (v0 v2 + v1 v3) in real arithmetic
-(see _coefficients), with the same distribution, and a negative statistic
-is an error.  A zero statistic decides 0, an error for bit 1 only, so each
-tie is an error with probability 1/2.  Ties have probability zero unless
-every term vanishes, as for the optimum detector when every rho_i gamma_i
-is 0 and the weights are all 0.
+is then S = sum_i a_i (v0^2 + v1^2) + b_i (v0 v2 + v1 v3) in real
+arithmetic (see _coefficients), and a negative statistic is an error.
+
+The kernel does not draw the v's.  Given (v0, v1), the cross term
+v0 v2 + v1 v3 is N(0, R_i) with R_i = v0^2 + v1^2 = 2 E_i, and E_i is a
+standard exponential.  Branches are independent, so the cross terms add to
+one normal, and S has exactly the law of
+
+    2 sum_i a_i E_i + sqrt(2 sum_i b_i^2 E_i) Z,    Z ~ N(0, 1)
+
+(the conditional-Gaussian form of a Hermitian quadratic form; Proakis,
+Digital Communications, App. B).  A trial therefore draws L exponentials
+and one normal instead of 4L normals; each trial is still an independent
+draw of S, so the error count is binomial.  The kernel forms S / 2.
+
+A zero statistic decides 0, an error for bit 1 only, so each tie is an
+error with probability 1/2.  Ties have probability zero unless every term
+vanishes, as for the optimum detector when every rho_i gamma_i is 0 and the
+weights are all 0.
 
 The link-level model, which draws the fading and the noise of each output
-apart, and the complex sign detector are the reference in the tests
-(tests/link_reference.py); the tests check this kernel's statistic and error
-rate against them.
+apart, the complex sign detector and the four-normal pair statistic are
+the reference in the tests (tests/link_reference.py); the tests check this
+kernel's statistic and error rate against them.
 
 Reproducibility contract
 ------------------------
 Trials are split into fixed-size batches of TRIALS_PER_BATCH.  Batch b is
 generated from its own counter-based stream, Philox keyed by the 64-bit
 seed with counter b << 64, so any assignment of batches to workers yields
-the same totals.  Within a batch the draw order is: a (trials, 4, L) block
-of numpy's ziggurat standard_normal, row k of each trial holding vk of every
-branch, then one binomial draw, Binomial(ties, 1/2), for the batch's ties
-(stream v3).  The ziggurat's tables belong to numpy, so the stream is
-pinned to numpy's Generator as well as to Philox.  Changing
-TRIALS_PER_BATCH changes the stream layout and therefore the estimates; it
-is a contract constant, not a tuning knob.
+the same totals.  Within a batch the draw order is (stream v4):
 
-The kernel draws and processes a batch's block in consecutive sub-blocks of
-trials, reusing one buffer.  Filling consecutive slices continues the same
-stream, so the sub-blocks hold exactly the numbers of one whole-batch draw:
-the sub-block size bounds the memory per batch and is not a contract
-constant.
+1. numpy's ziggurat standard_normal(trials), the Z of every trial;
+2. a (trials, L) block of numpy's ziggurat standard_exponential, row t
+   holding E_1..E_L of trial t;
+3. one binomial draw, Binomial(ties, 1/2), for the batch's ties.
+
+The ziggurats' tables belong to numpy, so the stream is pinned to numpy's
+Generator as well as to Philox: a port needs numpy's normal and exponential
+ziggurats and its binomial sampler.  Changing TRIALS_PER_BATCH changes the
+stream layout and therefore the estimates; it is a contract constant, not a
+tuning knob.
+
+The kernel draws and processes the exponential block in consecutive
+sub-blocks of trials, reusing one buffer.  Filling consecutive slices
+continues the same stream, so the sub-blocks hold exactly the numbers of one
+whole-block draw: the sub-block size bounds the memory per batch and is not
+a contract constant.
 
 numpy is imported inside the functions that draw and count, so importing
 this module, or reading TRIALS_PER_BATCH or BepEstimate, loads no numpy.
@@ -106,17 +124,17 @@ def _coefficients(cfg: DiversityConfig) -> Tuple[np.ndarray, np.ndarray]:
     return np.array(a), np.array(b)
 
 
-def _statistic(v: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Detector statistic of each trial of an (m, 4, L) block of normals."""
-    return (v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1]) @ a + (v[:, 0] * v[:, 2] + v[:, 1] * v[:, 3]) @ b
+def _statistic(z: np.ndarray, e: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Half the bit-0 statistic of trials with normals z and (m, L) exponentials e."""
+    return e @ a + (e @ (0.5 * b * b)) ** 0.5 * z
 
 
 def _count_errors(rng: np.random.Generator, n: int, a: np.ndarray, b: np.ndarray) -> int:
     import numpy as np
-    u = np.empty((min(n, _SUB_BLOCK), 4, len(a)))
+    z, e = rng.standard_normal(n), np.empty((min(n, _SUB_BLOCK), len(a)))
     errors = ties = 0
-    for s in range(0, n, _SUB_BLOCK):
-        stat = _statistic(rng.standard_normal(out=u[:min(_SUB_BLOCK, n - s)]), a, b)
+    for zs in np.split(z, range(_SUB_BLOCK, n, _SUB_BLOCK)):
+        stat = _statistic(zs, rng.standard_exponential(out=e[:len(zs)]), a, b)
         errors += int(np.count_nonzero(stat < 0.0))
         ties += int(np.count_nonzero(stat == 0.0))
     # a tie decides 0, an error for bit 1 only: each is an error with probability 1/2
@@ -143,8 +161,10 @@ def estimate_bep(cfg: DiversityConfig, trials: int, seed: int, workers: int = 1,
     if stop_rel_tol is not None and not stop_rel_tol > 0.0:
         raise ConfigError(f"stop_rel_tol={stop_rel_tol} must be positive")
     seed = int(seed) & _MASK64
-    # only the statistic's sign counts: scaling it by a power of two is exact,
-    # and the largest coefficient in [0.5, 1) keeps it finite at any valid gamma
+    # only the statistic's sign counts: scaling a and b by a power of two scales
+    # b^2 by a power of four, which the square root undoes exactly, and the
+    # largest coefficient in [0.5, 1) keeps b^2 <= 1 and the statistic finite
+    # at any valid gamma
     a, b = _coefficients(cfg)
     scale = math.ldexp(1.0, -math.frexp(max(a.max(), b.max()))[1])
     coef = (a * scale, b * scale)

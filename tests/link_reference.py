@@ -2,10 +2,12 @@
 
 observe draws each branch's fading and noise apart, from 8 standard normals,
 and decide is the weighted complex sign detector; loglik_metric scores the
-two hypotheses by maximum likelihood.  The tests check the channel model and
-the detector on these functions, and check that dpskdiv.simulate, which
-draws only the pair (z_prev, z_curr) conditioned on bit 0, reproduces their
-statistic and error rate.  Nothing in dpskdiv calls this.
+two hypotheses by maximum likelihood.  pair_statistic forms the bit-0
+statistic from the pair (z_prev, z_curr) alone, drawn from 4 standard
+normals per branch.  The tests check the channel model and the detector on
+these functions, and check that dpskdiv.simulate, which draws L
+exponentials and one normal per trial, reproduces their statistic and
+error rate.  Nothing in dpskdiv calls this.
 """
 
 import math
@@ -64,3 +66,16 @@ def loglik_metric(z_prev: np.ndarray, z_curr: np.ndarray, rho, r0, m: int):
     diff = z_curr - sign * mean_coef * z_prev
     return np.sum(-np.log(np.pi * var_c) - np.abs(diff) ** 2 / var_c
                   - np.log(np.pi * s2) - np.abs(z_prev) ** 2 / s2, axis=-1)
+
+
+def pair_statistic(v: np.ndarray, a, b) -> np.ndarray:
+    """Bit-0 detector statistic sum_i a_i (v0^2 + v1^2) + b_i (v0 v2 + v1 v3)
+    of each trial of an (m, 4, L) block of standard normals, row k of a trial
+    holding vk of every branch; a and b are dpskdiv.simulate._coefficients.
+
+    With z_prev = sqrt((1 + gamma) / 2) (v0 + i v1) and
+    z_curr = c z_prev + sqrt(e / 2) (v2 + i v3), this is
+    sum_i w_i Re(z_curr conj(z_prev)) in real arithmetic (c and e as in the
+    dpskdiv.simulate docstring).
+    """
+    return (v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1]) @ a + (v[:, 0] * v[:, 2] + v[:, 1] * v[:, 3]) @ b

@@ -20,7 +20,7 @@ from dpskdiv import (
 from dpskdiv import simulate
 from dpskdiv.simulate import _batch_rng
 
-from link_reference import decide, loglik_metric, observe
+from link_reference import decide, loglik_metric, observe, pair_statistic
 
 
 def normals(seed, n, l=1):
@@ -284,16 +284,16 @@ GOLDEN_BRANCHES = {
     8: [(0.8, 0.3), (0.85, 0.5), (0.88, 0.8), (0.9, 1.0),
         (0.92, 1.5), (0.94, 2.0), (0.96, 3.0), (0.98, 4.0)],
 }
-# stream v3 errors for (L, detector, trials) at seed 2024 + L; 200 000 trials end
+# stream v4 errors for (L, detector, trials) at seed 2024 + L; 200 000 trials end
 # mid-batch and 262 144 = 2 * 2**17 end on a batch boundary
 GOLDEN_ERRORS = {
-    (1, Detector.OPTIMUM, 200_000): 11440, (1, Detector.OPTIMUM, 262_144): 15051,
-    (1, Detector.SUBOPTIMUM, 200_000): 11440, (1, Detector.SUBOPTIMUM, 262_144): 15051,
-    (2, Detector.OPTIMUM, 200_000): 4716, (2, Detector.OPTIMUM, 262_144): 6128,
-    (2, Detector.SUBOPTIMUM, 200_000): 6035, (2, Detector.SUBOPTIMUM, 262_144): 7846,
-    (4, Detector.OPTIMUM, 200_000): 5, (4, Detector.OPTIMUM, 262_144): 11,
-    (4, Detector.SUBOPTIMUM, 200_000): 21, (4, Detector.SUBOPTIMUM, 262_144): 32,
-    (8, Detector.OPTIMUM, 200_000): 1588, (8, Detector.SUBOPTIMUM, 200_000): 1800,
+    (1, Detector.OPTIMUM, 200_000): 11483, (1, Detector.OPTIMUM, 262_144): 15006,
+    (1, Detector.SUBOPTIMUM, 200_000): 11483, (1, Detector.SUBOPTIMUM, 262_144): 15006,
+    (2, Detector.OPTIMUM, 200_000): 4779, (2, Detector.OPTIMUM, 262_144): 6215,
+    (2, Detector.SUBOPTIMUM, 200_000): 6174, (2, Detector.SUBOPTIMUM, 262_144): 8034,
+    (4, Detector.OPTIMUM, 200_000): 3, (4, Detector.OPTIMUM, 262_144): 9,
+    (4, Detector.SUBOPTIMUM, 200_000): 25, (4, Detector.SUBOPTIMUM, 262_144): 31,
+    (8, Detector.OPTIMUM, 200_000): 1538, (8, Detector.SUBOPTIMUM, 200_000): 1747,
 }
 
 
@@ -315,15 +315,17 @@ def coefficients(branches, det):
 @pytest.mark.parametrize("n", [1, 10, 4321])
 def test_sub_blocks_match_one_draw(monkeypatch, n):
     # sub-blocks of a size that divides neither n nor the batch, and batches
-    # smaller than one sub-block, give the errors of one whole-block draw; the
-    # all-zero optimum weights make every trial a tie, drawn after the block
+    # smaller than one sub-block, give the errors of one whole-block draw in
+    # the stream-v4 order: the n normals, the (n, L) exponential block, then
+    # the binomial; the all-zero optimum weights make every trial a tie
     monkeypatch.setattr(simulate, "_SUB_BLOCK", 1000)
     for branches, det in (([(0.8, 0.3), (0.9, 1.0), (0.95, 2.0)], Detector.OPTIMUM),
                           ([(0.8, 0.3), (0.9, 1.0), (0.95, 2.0)], Detector.SUBOPTIMUM),
                           ([(0.0, 4.0), (0.0, 9.0)], Detector.OPTIMUM)):
         a, b = coefficients(branches, det)
         ref = _batch_rng(77, 3)
-        stat = simulate._statistic(ref.standard_normal((n, 4, len(a))), a, b)
+        z = ref.standard_normal(n)
+        stat = simulate._statistic(z, ref.standard_exponential((n, len(a))), a, b)
         ties = np.count_nonzero(stat == 0.0)
         expect = int(np.count_nonzero(stat < 0.0)) + int(ref.binomial(ties, 0.5))
         rng = _batch_rng(77, 3)
@@ -332,8 +334,8 @@ def test_sub_blocks_match_one_draw(monkeypatch, n):
 
 
 def test_batch_peak_memory():
-    # the whole (2**17, 4, 4) block and its temporaries take 25 MiB;
-    # sub-blocks keep one batch to a few MiB
+    # the batch's 2**17 normals take 1 MiB and a whole (2**17, 4) exponential
+    # block 4 MiB more; sub-blocks keep one batch under 2 MiB
     a, b = coefficients(GOLDEN_BRANCHES[4], Detector.OPTIMUM)
     tracemalloc.start()
     try:
@@ -341,7 +343,7 @@ def test_batch_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * 2**20
+    assert peak <= 4 * 2**20
 
 
 @pytest.mark.parametrize("det", list(Detector))
@@ -351,13 +353,37 @@ def test_kernel_statistic_matches_link_reference(rho, gamma, det):
     # of the 8-normal link model have the same mean and the same variance
     n = 2 * 10**5
     a, b = coefficients([(rho, gamma)], det)
-    kernel = simulate._statistic(np.random.default_rng(30).standard_normal((n, 4, 1)), a, b)
+    rng = np.random.default_rng(30)
+    kernel = 2.0 * simulate._statistic(rng.standard_normal(n), rng.standard_exponential((n, 1)), a, b)
     g = np.random.default_rng(31).standard_normal((n, 1, 8))
     z_prev, z_curr = observe(g, rho, 0.5 * gamma, 1.0)
     (w,) = optimum_weights([BranchParams(rho, gamma)]) if det is Detector.OPTIMUM else (1.0,)
     ref = w * (z_curr * np.conj(z_prev)).real[:, 0]
     for x, y in ((kernel, ref), ((kernel - kernel.mean()) ** 2, (ref - ref.mean()) ** 2)):
         assert abs(x.mean() - y.mean()) <= 4.0 * math.sqrt((x.var() + y.var()) / n)
+
+
+@pytest.mark.parametrize("det", list(Detector))
+@pytest.mark.parametrize("branches", [
+    [(1.0, 1e3), (0.9, 10.0)],
+    [(0.0, 4.0), (0.9, 0.0)],
+    [(0.8, 0.3), (0.95, 2.0), (0.99, 100.0)],
+])
+def test_kernel_statistic_distribution_matches_pair_statistic(branches, det):
+    # the kernel's L + 1 draws and the 4L-normal pair statistic give the same
+    # law, not just the same two moments: P(S <= x) agrees at x = t sigma and
+    # at x = mu + t sigma, mu = 2 sum a and sigma^2 = sum 4 a^2 + 2 b^2 being
+    # the mean and the variance of S
+    n = 2 * 10**5
+    a, b = coefficients(branches, det)
+    rng = np.random.default_rng(32)
+    kernel = 2.0 * simulate._statistic(rng.standard_normal(n), rng.standard_exponential((n, len(a))), a, b)
+    ref = pair_statistic(np.random.default_rng(33).standard_normal((n, 4, len(a))), a, b)
+    mu, sigma = 2.0 * np.sum(a), math.sqrt(np.sum(4.0 * a * a + 2.0 * b * b))
+    for x in (t * sigma + shift for t in (-2.0, -1.0, 0.0, 1.0, 2.0) for shift in (0.0, mu)):
+        p1, p2 = np.mean(kernel <= x), np.mean(ref <= x)
+        p = 0.5 * (p1 + p2)
+        assert p1 == p2 or abs(p1 - p2) < 4.0 * math.sqrt(2.0 * p * (1.0 - p) / n)
 
 
 @pytest.mark.parametrize("det, seed", [(Detector.OPTIMUM, 40), (Detector.SUBOPTIMUM, 42)])
