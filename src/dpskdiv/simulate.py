@@ -82,6 +82,7 @@ TRIALS_PER_BATCH = 1 << 17
 _SUB_BLOCK = 8192
 _MASK64 = (1 << 64) - 1
 _MIN_ERRORS_FOR_STOP = 100
+_Z95 = 1.96
 
 
 @dataclass(frozen=True)
@@ -95,9 +96,18 @@ class BepEstimate:
     early_stopped: bool = False
 
 
-def _ci95(errors: int, trials: int) -> float:
+def _wald95(errors: int, trials: int) -> float:
     p = errors / trials
-    return 1.96 * math.sqrt(p * (1.0 - p) / trials)
+    return _Z95 * math.sqrt(p * (1.0 - p) / trials)
+
+
+def _ci95(errors: int, trials: int) -> float:
+    """The larger half-width, max(hi - p, p - lo), of the 95% Wilson score
+    interval (lo, hi) around p = errors / trials: unlike the Wald interval it
+    is not 0 when no error, or every trial, was seen."""
+    p, z2 = errors / trials, _Z95 * _Z95 / trials
+    centre = (p + 0.5 * z2) / (1.0 + z2)
+    return abs(centre - p) + _Z95 * math.sqrt((p * (1.0 - p) + 0.25 * z2) / trials) / (1.0 + z2)
 
 
 def _batch_rng(seed: int, batch: int) -> np.random.Generator:
@@ -145,11 +155,12 @@ def estimate_bep(cfg: DiversityConfig, trials: int, seed: int, workers: int = 1,
                  stop_rel_tol: Optional[float] = None) -> BepEstimate:
     """Estimate the bit error probability by Monte Carlo over the link model.
 
-    Batch totals are worker-count invariant.  With stop_rel_tol set, the run
-    ends after the first batch, in batch order, at which the 95% half-width
-    is below stop_rel_tol * p_hat with at least 100 errors seen; batches
-    after it that a wave already ran are dropped, so an early-stopped result
-    is also the same for every worker count, and it is flagged.
+    Batch totals are worker-count invariant.  ci95_halfwidth is the larger
+    half-width of the 95% Wilson score interval.  With stop_rel_tol set, the
+    run ends after the first batch, in batch order, at which the 95% Wald
+    half-width is below stop_rel_tol * p_hat with at least 100 errors seen;
+    batches after it that a wave already ran are dropped, so an early-stopped
+    result is also the same for every worker count, and it is flagged.
     """
     from concurrent.futures import ThreadPoolExecutor
     trials = int(trials)
@@ -183,7 +194,7 @@ def estimate_bep(cfg: DiversityConfig, trials: int, seed: int, workers: int = 1,
             errors += batch_errors
             done = min((b + 1) * TRIALS_PER_BATCH, trials)
             if (stop_rel_tol is not None and errors >= _MIN_ERRORS_FOR_STOP
-                    and _ci95(errors, done) < stop_rel_tol * (errors / done)):
+                    and _wald95(errors, done) < stop_rel_tol * (errors / done)):
                 early = True
                 break
     return BepEstimate(errors=errors, trials=done, p_hat=errors / done,

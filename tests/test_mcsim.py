@@ -192,8 +192,11 @@ def test_estimate_matches_l1_closed_form():
     assert est.trials == 10**6
     assert abs(est.p_hat - 1.0 / 22.0) < 3.0 * est.ci95_halfwidth
     assert abs(est.p_hat - est.errors / est.trials) < 1e-15
-    expect_ci = 1.96 * math.sqrt(est.p_hat * (1 - est.p_hat) / est.trials)
-    assert abs(est.ci95_halfwidth - expect_ci) < 1e-15
+    # the Wilson limits are the roots p of (p_hat - p)^2 = 1.96^2 p (1 - p) / n
+    k = 1.96 ** 2 / est.trials
+    lo, hi = np.roots([1.0 + k, -(2.0 * est.p_hat + k), est.p_hat ** 2])[::-1]
+    expect_ci = max(hi - est.p_hat, est.p_hat - lo)
+    assert abs(est.ci95_halfwidth - expect_ci) < 1e-12 * expect_ci
 
 
 @pytest.mark.parametrize("det, seed", [(Detector.OPTIMUM, 6000), (Detector.SUBOPTIMUM, 6001)])
@@ -211,6 +214,30 @@ def test_estimate_matches_closed_form_l6_doppler(det, seed):
     est = estimate_bep(cfg, trials, seed=seed)
     assert est.errors >= 2000
     assert abs(est.p_hat - p) / math.sqrt(p * (1.0 - p) / trials) < 4.0
+
+
+def binomial_coverage(halfwidth, n, p):
+    """Exact probability that |k/n - p| <= halfwidth(k, n) for k ~ Binomial(n, p)."""
+    sd = math.sqrt(n * p * (1.0 - p))
+    lo, hi = max(0, math.floor(n * p - 12.0 * sd - 12)), min(n, math.ceil(n * p + 12.0 * sd + 12))
+    c, lp, lq = math.lgamma(n + 1), math.log(p), math.log1p(-p)
+    return sum(math.exp(c - math.lgamma(k + 1) - math.lgamma(n - k + 1) + k * lp + (n - k) * lq)
+               for k in range(lo, hi + 1) if abs(k / n - p) <= halfwidth(k, n))
+
+
+@pytest.mark.parametrize("n", [2000, 1 << 18])
+def test_ci95_covers(n):
+    # the mc_ci interval p_hat +- ci95_halfwidth covers the true p with exact
+    # binomial probability >= 0.84 on a p grid from 1e-7 to 1/2, and >= 0.91
+    # where np >= 1; the Wald interval, 0 wide at zero errors, fails
+    ps = np.logspace(-7.0, math.log10(0.5), 121)
+
+    def floors_hold(halfwidth):
+        cover = [binomial_coverage(halfwidth, n, p) for p in ps]
+        return min(cover) >= 0.84 and min(c for c, p in zip(cover, ps) if n * p >= 1) >= 0.91
+
+    assert floors_hold(simulate._ci95)
+    assert not floors_hold(simulate._wald95)
 
 
 def test_estimate_coin_flip_channel():
