@@ -39,7 +39,6 @@ from .errors import ConfigError
 class ChernoffResult:
     bound: float
     s_opt: float
-    improved: bool
 
 
 def optimum_weights(branches: Sequence[BranchParams]) -> List[float]:
@@ -138,7 +137,7 @@ def _chernoff(alphas: Sequence[float], betas: Sequence[float], t: float, s: floa
                                 for a, b in zip(alphas, betas)))
     if improved:
         bound *= 0.5
-    return ChernoffResult(bound=bound, s_opt=s, improved=improved)
+    return ChernoffResult(bound=bound, s_opt=s)
 
 
 def chernoff_optimum(cfg: DiversityConfig, improved: bool = True) -> ChernoffResult:

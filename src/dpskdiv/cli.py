@@ -389,7 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--workers", type=int, default=os.environ.get(WORKERS_ENV, "1"),
                            help=f"worker threads (default ${WORKERS_ENV} or 1)")
             p.add_argument("--stop-rel-tol", type=float,
-                           help="optional early stop: end a point once ci < tol * p_hat")
+                           help="optional early stop: end a point after the first batch whose "
+                                "95%% Wald half-width is below tol * p_hat, with at least "
+                                "100 errors seen")
         p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("doppler-rho", parents=[_CONFIG],

@@ -92,7 +92,6 @@ class BepEstimate:
     p_hat: float
     ci95_halfwidth: float
     seed: int
-    detector: Detector
     early_stopped: bool = False
 
 
@@ -199,4 +198,4 @@ def estimate_bep(cfg: DiversityConfig, trials: int, seed: int, workers: int = 1,
                 break
     return BepEstimate(errors=errors, trials=done, p_hat=errors / done,
                        ci95_halfwidth=_ci95(errors, done), seed=seed,
-                       detector=cfg.detector, early_stopped=early)
+                       early_stopped=early)

@@ -34,6 +34,10 @@ def parse_rows(text):
     return rows
 
 
+# md5 of the whole reproduce-fig CSV, per figure
+FIGURE_MD5 = {"1": "7300f01e420899971151e01167bdf17b", "2": "60cf7ad58864ffc5bfa28da78b62cebc"}
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -106,22 +110,14 @@ def test_bep_invalid_rho_exit_code(capsys):
 # ------------------------------------------------------------------- sweep
 
 
-def test_sweep_figure_grid_row_count(capsys):
+def test_sweep_reproduces_figure_one(capsys):
+    # the figure-1 grid through sweep prints reproduce-fig --figure 1's bytes
     code, out, _ = run_cli(capsys, "sweep", "--gamma-b-db-range", "0:30:1",
                            "--eta", "0.1,0.5001", "--rho", "0.975",
                            "--detector", "both",
                            "--outputs", "exact,chernoff_improved")
     assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[0] == CSV_HEADER
-    assert len(lines) == 1 + 124
-
-
-def test_sweep_contains_published_thirty_db_points(capsys):
-    _, out, _ = run_cli(capsys, "sweep", "--gamma-b-db-range", "0:30:1",
-                        "--eta", "0.1,0.5001", "--rho", "0.975",
-                        "--detector", "both",
-                        "--outputs", "exact,chernoff_improved")
+    assert hashlib.md5(out.encode()).hexdigest() == FIGURE_MD5["1"]
     rows = [r for r in parse_rows(out) if r.gamma_b_db == 30.0 and r.eta == 0.1]
     by_det = {r.detector: r.exact_bep for r in rows}
     assert abs(by_det["optimum"] - 6.710e-4) / 6.710e-4 < 5e-3
@@ -382,16 +378,14 @@ def test_reproduce_fig_two_grid(capsys):
     assert {r.eta for r in rows} == {0.4, 0.45, 0.49, 0.4999, 0.5001}
 
 
-@pytest.mark.parametrize("figure, lines, md5", [
-    ("1", 125, "7300f01e420899971151e01167bdf17b"),
-    ("2", 311, "60cf7ad58864ffc5bfa28da78b62cebc"),
-], ids=["figure-1", "figure-2"])
-def test_reproduce_fig_bytes_pinned(capsys, figure, lines, md5):
+@pytest.mark.parametrize("figure, lines", [("1", 125), ("2", 311)],
+                         ids=["figure-1", "figure-2"])
+def test_reproduce_fig_bytes_pinned(capsys, figure, lines):
     # the whole CSV, byte for byte: a moved digit anywhere in either grid shows
     code, out, _ = run_cli(capsys, "reproduce-fig", "--figure", figure)
     assert code == 0
     assert len(out.splitlines()) == lines
-    assert hashlib.md5(out.encode()).hexdigest() == md5
+    assert hashlib.md5(out.encode()).hexdigest() == FIGURE_MD5[figure]
 
 
 def test_reproduce_fig_unknown(capsys):

@@ -15,6 +15,7 @@ from dpskdiv import (
     estimate_bep,
     exact_bep,
     optimum_weights,
+    power_split,
     rho_from_doppler,
 )
 from dpskdiv import simulate
@@ -500,3 +501,22 @@ def test_mc_against_closed_form_grid():
                         misses += 1
     assert checked >= 30
     assert misses <= math.ceil(0.01 * checked)
+
+
+def test_monte_carlo_agreement():
+    # published split points at 1e7 trials: within 3 binomial SE of exact_bep
+    cases = [
+        (15.0, 0.5001, Detector.OPTIMUM),
+        (15.0, 0.1, Detector.SUBOPTIMUM),
+        (30.0, 0.1, Detector.OPTIMUM),
+    ]
+    trials = 10**7
+    worst_z = 0.0
+    for i, (gdb, eta, det) in enumerate(cases):
+        g1, g2 = power_split(gdb, eta)
+        cfg = DiversityConfig((BranchParams(0.975, g1), BranchParams(0.975, g2)), det)
+        p = exact_bep(cfg)
+        est = estimate_bep(cfg, trials, seed=2026 + i, workers=2)
+        se = math.sqrt(p * (1.0 - p) / trials)
+        worst_z = max(worst_z, abs(est.p_hat - p) / se)
+    assert worst_z < 3.0
