@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -110,14 +112,27 @@ def test_bep_invalid_rho_exit_code(capsys):
 # ------------------------------------------------------------------- sweep
 
 
-def test_sweep_reproduces_figure_one(capsys):
+@pytest.fixture(scope="module")
+def figure_one_sweep():
+    # one sweep run over the figure-1 grid, shared by the tests below
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["sweep", "--gamma-b-db-range", "0:30:1",
+                     "--eta", "0.1,0.5001", "--rho", "0.975",
+                     "--detector", "both",
+                     "--outputs", "exact,chernoff_improved"])
+    return code, out.getvalue()
+
+
+def test_sweep_figure_grid_row_count(figure_one_sweep):
     # the figure-1 grid through sweep prints reproduce-fig --figure 1's bytes
-    code, out, _ = run_cli(capsys, "sweep", "--gamma-b-db-range", "0:30:1",
-                           "--eta", "0.1,0.5001", "--rho", "0.975",
-                           "--detector", "both",
-                           "--outputs", "exact,chernoff_improved")
+    code, out = figure_one_sweep
     assert code == 0
     assert hashlib.md5(out.encode()).hexdigest() == FIGURE_MD5["1"]
+
+
+def test_sweep_contains_published_thirty_db_points(figure_one_sweep):
+    _, out = figure_one_sweep
     rows = [r for r in parse_rows(out) if r.gamma_b_db == 30.0 and r.eta == 0.1]
     by_det = {r.detector: r.exact_bep for r in rows}
     assert abs(by_det["optimum"] - 6.710e-4) / 6.710e-4 < 5e-3
