@@ -55,7 +55,8 @@ def optimum_weights(branches: Sequence[BranchParams]) -> List[float]:
 
 def _poles(cfg: DiversityConfig) -> Tuple[List[float], List[float]]:
     """Phase means (alpha_i, beta_i) of X and Y, in branch order; the optimum
-    detector drops branches with rho*gamma = 0 (see exact_bep)."""
+    detector drops branches whose alpha_i is below the smallest normal float,
+    sys.float_info.min (see exact_bep)."""
     alphas: List[float] = []
     betas: List[float] = []
     for br in cfg.branches:
@@ -65,8 +66,8 @@ def _poles(cfg: DiversityConfig) -> Tuple[List[float], List[float]]:
         if cfg.detector is Detector.SUBOPTIMUM:
             alphas.append(1.0 + g + rg)
             betas.append(diff)
-        elif rg > 0.0:
-            alphas.append(rg / diff)
+        elif (a := rg / diff) >= 2.2250738585072014e-308:
+            alphas.append(a)
             betas.append(rg / (1.0 + g + rg))
     return alphas, betas
 
@@ -91,9 +92,14 @@ def _phase_race(alphas: Sequence[float], betas: Sequence[float]) -> float:
 def exact_bep(cfg: DiversityConfig) -> float:
     """Exact bit error probability of the configured combiner.
 
-    Branches with rho*gamma = 0 are dropped under the optimum detector (zero
-    weight contributes nothing to the statistic); if every branch is dropped
-    the statistic is identically zero and the result is a coin flip, 0.5.
+    Under the optimum detector, branches whose alpha_i is 0 or subnormal are
+    dropped.  At rho*gamma = 0 the weight is zero and the branch contributes
+    nothing to the statistic.  Otherwise alpha_i / beta_i = 1 + 2 alpha_i, so
+    such a branch adds a symmetric term of scale alpha_i to X - Y, which
+    moves the result by far less than a rounding, while its subnormal poles
+    would break the phase race: a zero alpha_i divides it by zero, and two
+    copies of a 5e-324 pole read 0 where 0.5 is due.  If every branch is
+    dropped the result is a coin flip, 0.5.
     """
     alphas, betas = _poles(cfg)
     if not alphas:

@@ -272,8 +272,8 @@ def rho_from_doppler(spec: DopplerSpec, quad_order: int = DEFAULT_QUAD_ORDER) ->
         Tolerance not reached by the cap: Jakes and rectangular from fdT
         ~150, whose covariance oscillates too fast for 512 nodes per piece,
         and a Gaussian from fdT ~3.6e153, whose (pi fdT)^2 / ln 2 overflows,
-        so that r is 0 at every node and R(0) = 0.  Carries the last two
-        estimates as .last and .previous.
+        so that r is 0 at every node and R(0) = 0.  The message gives the
+        last two estimates.
     """
     quad_order = int(quad_order)
     if quad_order < 2:
@@ -291,7 +291,4 @@ def rho_from_doppler(spec: DopplerSpec, quad_order: int = DEFAULT_QUAD_ORDER) ->
             return min(1.0, max(-1.0, last))
     raise ConvergenceError(
         f"rho quadrature not converged to {RHO_QUAD_TOL} of its scale by {RHO_ORDER_CAP} "
-        "nodes per piece",
-        last=last,
-        previous=previous,
-    )
+        f"nodes per piece: last estimate {last!r}, previous {previous!r}")

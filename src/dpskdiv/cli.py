@@ -269,7 +269,11 @@ def cmd_bep(args: argparse.Namespace) -> int:
         if args.eta is not None:
             raise ConfigError("--eta splits --gamma-b-db and cannot go with --gamma-db")
         gammas = [db_to_linear(db) for db in args.gamma_db]
-        total_db = 10.0 * math.log10(sum(gammas)) if sum(gammas) > 0 else None
+        # summed relative to the largest branch: the sum of valid branches
+        # can overflow a float where its dB value cannot
+        top = max(gammas)
+        total_db = (max(args.gamma_db) + 10.0 * math.log10(sum(g / top for g in gammas))
+                    if top > 0 else None)
         eta = None
     else:
         if args.eta is None:

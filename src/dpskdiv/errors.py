@@ -9,10 +9,6 @@ class ConvergenceError(RuntimeError):
     """An iterative numerical procedure hit its resource cap before reaching
     tolerance.
 
-    Carries the last two iterates so callers can judge how close it got.
+    The message gives the last two iterates, so the reader can judge how
+    close it got.
     """
-
-    def __init__(self, message, last=None, previous=None):
-        super().__init__(message)
-        self.last = last
-        self.previous = previous

@@ -174,10 +174,12 @@ def estimate_bep(cfg: DiversityConfig, trials: int, seed: int, workers: int = 1,
     # only the statistic's sign counts: scaling a and b by a power of two scales
     # b^2 by a power of four, which the square root undoes exactly, and the
     # largest coefficient in [0.5, 1) keeps b^2 <= 1 and the statistic finite
-    # at any valid gamma
+    # at any valid gamma; ldexp scales each value, as 2^-e itself overflows
+    # once the largest coefficient is below 2^-1024
+    import numpy as np
     a, b = _coefficients(cfg)
-    scale = math.ldexp(1.0, -math.frexp(max(a.max(), b.max()))[1])
-    coef = (a * scale, b * scale)
+    e = math.frexp(max(a.max(), b.max()))[1]
+    coef = (np.ldexp(a, -e), np.ldexp(b, -e))
 
     n_batches = (trials + TRIALS_PER_BATCH - 1) // TRIALS_PER_BATCH
 

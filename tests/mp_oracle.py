@@ -153,7 +153,8 @@ def _residue_sum(alphas, betas):
 def partial_fractions(alphas, betas):
     """P(X < Y) as the sum of residues at the poles -1/beta_j."""
     distinct = sorted(set(betas))
-    with mpmath.workdps(30):
+    # above the 50 digits of the poles, so that distinct betas have a gap > 0
+    with mpmath.workdps(60):
         gap = min((1 - lo / hi for lo, hi in zip(distinct, distinct[1:])), default=1)
     # each weight B_j can reach gap^-(L-1)
     dps = 40 + len(betas) * (int(-mpmath.log10(gap)) + 1)

@@ -1,12 +1,12 @@
 import math
+import random
 import sys
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from dpskdiv import (BranchParams, ConfigError, Detector, DiversityConfig, DopplerSpec,
                      SpectrumKind)
+from ends import range_ends
 
 
 def cfg_of(*pairs, detector=Detector.OPTIMUM):
@@ -78,18 +78,13 @@ def test_tabulated_spectrum_rejects_nonzero_fdt(fdt):
     assert DopplerSpec(SpectrumKind.TABULATED, 0.0, table).fdt == 0.0
 
 
-@given(
-    st.lists(
-        st.tuples(
-            st.floats(min_value=0.0, max_value=1.0),
-            st.floats(min_value=0.0, max_value=1e6),
-        ),
-        min_size=1,
-        max_size=6,
-    ),
-    st.sampled_from(list(Detector)),
-)
-def test_all_in_range_configs_validate(pairs, det):
-    cfg = cfg_of(*pairs, detector=det)
-    assert cfg.branches == tuple(BranchParams(r, g) for r, g in pairs)
-    assert cfg.detector is det
+def test_all_in_range_configs_validate():
+    rng = random.Random(19)
+    cases = [[(r, g)] for r in range_ends(1.0) for g in range_ends(1e6)]
+    cases += [[(rng.uniform(0.0, 1.0), rng.uniform(0.0, 1e6)) for _ in range(rng.randint(1, 6))]
+              for _ in range(100)]
+    for pairs in cases:
+        for det in Detector:
+            cfg = cfg_of(*pairs, detector=det)
+            assert cfg.branches == tuple(BranchParams(r, g) for r, g in pairs)
+            assert cfg.detector is det

@@ -91,6 +91,22 @@ def test_bep_json(capsys):
     assert abs(payload["exact_bep"] - 1.0 / 22.0) < 1e-9
 
 
+def test_bep_total_snr_above_float_range(capsys):
+    # each 3076 dB branch is valid, but the five sum past the float range
+    argv = ("bep", "--gamma-db", "3076,3076,3076,3076,3076", "--rho", "0.9")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[1].startswith("3082.98970004,")
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    payload = json.loads(out, parse_constant=reject)
+    assert 0.0 <= payload["exact_bep"] <= 1.0
+
+
 def test_bep_conflicting_branch_options(capsys):
     code, _, err = run_cli(capsys, "bep", "--rho", "1", "--gamma-db", "10",
                            "--gamma-b-db", "15", "--eta", "0.1")

@@ -447,6 +447,17 @@ def test_estimate_at_largest_gamma_matches_1e300():
     assert errors(sys.float_info.max / 4) == errors(1e300)
 
 
+def test_estimate_at_subnormal_coefficients_matches_1e150():
+    # at rho = 1e-310 the optimum coefficients are below 2^-1024 (a is 0 and b
+    # subnormal), and at 1e-150 a is too small to move any sign against b, so
+    # the same draws give the same errors
+    def errors(rho):
+        cfg = DiversityConfig((BranchParams(rho, 1.0),), Detector.OPTIMUM)
+        return estimate_bep(cfg, 4000, seed=5).errors
+
+    assert errors(1e-310) == errors(1e-150)
+
+
 def test_estimate_invalid_arguments():
     cfg = DiversityConfig((BranchParams(0.9, 2.0),), Detector.OPTIMUM)
     with pytest.raises(ConfigError):
