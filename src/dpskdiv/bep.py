@@ -55,8 +55,7 @@ def optimum_weights(branches: Sequence[BranchParams]) -> List[float]:
 
 def _poles(cfg: DiversityConfig) -> Tuple[List[float], List[float]]:
     """Phase means (alpha_i, beta_i) of X and Y, in branch order; the optimum
-    detector drops branches whose alpha_i is below the smallest normal float,
-    sys.float_info.min (see exact_bep)."""
+    detector drops branches whose alpha_i is 0 (see exact_bep)."""
     alphas: List[float] = []
     betas: List[float] = []
     for br in cfg.branches:
@@ -66,7 +65,7 @@ def _poles(cfg: DiversityConfig) -> Tuple[List[float], List[float]]:
         if cfg.detector is Detector.SUBOPTIMUM:
             alphas.append(1.0 + g + rg)
             betas.append(diff)
-        elif (a := rg / diff) >= 2.2250738585072014e-308:
+        elif (a := rg / diff) > 0.0:
             alphas.append(a)
             betas.append(rg / (1.0 + g + rg))
     return alphas, betas
@@ -76,30 +75,31 @@ def _phase_race(alphas: Sequence[float], betas: Sequence[float]) -> float:
     """P(X < Y) for X, Y sums of independent exponentials with the given means.
 
     f(i, j), the chance that X wins from phase state (i, j), obeys
-    f = [beta_j f(i+1, j) + alpha_i f(i, j+1)] / (alpha_i + beta_j) with
-    f(L, j) = 1 for j < L and f(i, L) = 0.  row holds f(i+1, .) and is
-    overwritten with f(i, .) from the right.
+    f = f(i, j+1) + beta_j [f(i+1, j) - f(i, j+1)] / (alpha_i + beta_j), with
+    f(L, j) = 1 for j < L and f(i, L) = 0; no product of tiny numbers to
+    underflow.  row holds f(i+1, .) and is overwritten with f(i, .) from the
+    right, f carrying f(i, j+1).
     """
     n = len(alphas)
-    row = [1.0] * n + [0.0]
+    row = [1.0] * n
     for a in reversed(alphas):
+        f = 0.0
         for j in range(n - 1, -1, -1):
             b = betas[j]
-            row[j] = (b * row[j] + a * row[j + 1]) / (a + b)
+            f = row[j] = f + b / (a + b) * (row[j] - f)
     return row[0]
 
 
 def exact_bep(cfg: DiversityConfig) -> float:
     """Exact bit error probability of the configured combiner.
 
-    Under the optimum detector, branches whose alpha_i is 0 or subnormal are
-    dropped.  At rho*gamma = 0 the weight is zero and the branch contributes
-    nothing to the statistic.  Otherwise alpha_i / beta_i = 1 + 2 alpha_i, so
-    such a branch adds a symmetric term of scale alpha_i to X - Y, which
-    moves the result by far less than a rounding, while its subnormal poles
-    would break the phase race: a zero alpha_i divides it by zero, and two
-    copies of a 5e-324 pole read 0 where 0.5 is due.  If every branch is
-    dropped the result is a coin flip, 0.5.
+    Under the optimum detector, branches whose alpha_i is 0 are dropped.  At
+    rho*gamma = 0 the weight is zero and the branch contributes nothing to
+    the statistic.  Otherwise alpha_i has underflowed, and beta_i <= alpha_i
+    with it: the branch adds a symmetric term below 5e-324 in scale to X - Y,
+    which moves the result by far less than a rounding, while its zero poles
+    would divide the phase race by zero.  If every branch is dropped the
+    result is a coin flip, 0.5.
     """
     alphas, betas = _poles(cfg)
     if not alphas:

@@ -97,10 +97,10 @@ class DiversityConfig:
 class DopplerSpec:
     """Doppler spectrum family plus normalized bandwidth fdT.
 
-    table: for TABULATED only, (lag, covariance) pairs with lags in bit
-    durations, starting at 0 and reaching at least 2; linear interpolation
-    between entries; the covariance is treated as even in the lag.  The table
-    fixes the covariance, so fdT must be 0 with it.  Checked when built.
+    table: for TABULATED only, (lag, covariance) pairs, kept as a tuple of
+    float pairs, with lags in bit durations from 0 to at least 2, linearly
+    interpolated and even in the lag.  The table fixes the covariance, so
+    fdT must be 0 with it.  Checked when built.
     """
 
     kind: SpectrumKind
@@ -116,11 +116,11 @@ class DopplerSpec:
             raise ConfigError("a covariance table is required for (and only for) the tabulated spectrum")
         if self.table is None:
             return
+        object.__setattr__(self, "table", tuple((float(l), float(v)) for l, v in self.table))
         if len(self.table) < 2:
             raise ConfigError("tabulated covariance needs at least two points")
-        lags = [float(p[0]) for p in self.table]
-        vals = [float(p[1]) for p in self.table]
-        if any(not (math.isfinite(l) and math.isfinite(v)) for l, v in zip(lags, vals)):
+        lags, vals = zip(*self.table)
+        if any(not (math.isfinite(l) and math.isfinite(v)) for l, v in self.table):
             raise ConfigError("tabulated covariance contains non-finite entries")
         if any(b <= a for a, b in zip(lags, lags[1:])):
             raise ConfigError("tabulated lags must be strictly increasing")
@@ -166,8 +166,7 @@ def _covariance(spec: DopplerSpec):
             return math.sin(x) / x if x else 1.0
 
         return sinc, edges
-    lags = [float(p[0]) for p in spec.table]
-    vals = [float(p[1]) for p in spec.table]
+    lags, vals = zip(*spec.table)
 
     def interp(s):
         # the pieces end at the knots, so 0 < s < 2 <= lags[-1] and i + 1 exists

@@ -25,8 +25,21 @@ the last bit up to fd = 2000.  Valid range: Jakes and rectangular checked to
 fd = 128, the Gaussian to fd = 2000.  A table fixes the covariance, so for
 it rho() keeps the lag integral, by tanh-sinh at 30 digits.
 
-bep(cfg) sums the paper's partial-fraction form, where exact_bep runs a phase
-race over the poles alpha_i (the X phases) and beta_j (the Y phases).  With
+poles(cfg) takes the poles from the link model, not from formulas in
+(rho, gamma).  Per branch, z = (z_prev, z_curr) has covariance
+Sigma0 = [[1+gamma, rho gamma], [rho gamma, 1+gamma]] under bit 0, Sigma1
+with -rho gamma under bit 1, and the detector decides on D = sum z^H A z,
+with A = [[0, 1/2], [1/2, 0]] for unit weights and A = (Sigma1^-1 -
+Sigma0^-1)/2, half the log-likelihood ratio of bit 0 to bit 1, for the
+optimum detector.  So D = X - Y with an exponential of mean alpha in X and
+one of mean beta in Y for the eigenvalues alpha and -beta of each A Sigma0
+(Turin, Biometrika 1960); the unit-weight ones are half of dpskdiv's, which
+changes no probability.  chernoff(cfg) minimizes E[exp(-theta D)] =
+prod det(I + theta A Sigma0)^-1 over theta > 0, the unimproved Chernoff
+bound; theta* is 4 s* (optimum) or 8 s* (unit weights) in dpskdiv's s.
+
+bep(cfg) sums the paper's partial-fraction form over these poles, where
+exact_bep runs a phase race.  With
 M(s) = E[exp(s (X - Y))] = 1 / (prod_i (1 - alpha_i s) prod_j (1 + beta_j s)),
 P(X < Y) = -sum_j Res_{s = -1/beta_j} M(s) / s; a beta of multiplicity m gives
 a residue of order m, read off a Taylor series.  The weights cancel as the
@@ -38,9 +51,11 @@ M along a vertical line through the saddle point of M(s) / s, which uses no
 partial fractions but takes ~0.1 s a call.
 
 JAKES_FDT005_DENSE_GRID is rho from a 2-D grid, frozen before channel.py
-existed.  bep_l1 (one-branch BEP), sub_s_l1 (one-branch suboptimum Chernoff s*)
-and sub_product (the suboptimum Chernoff product) are shared closed forms.
+existed.  bep_l1 is the one-branch BEP, a shared closed form.
 """
+
+import functools
+import math
 
 import mpmath
 
@@ -114,22 +129,60 @@ def _lag_rho(table):
         return float(big_r(1) / big_r(0))
 
 
+def _dps(cfg):
+    # 50 digits, plus the decades of gamma that cancellation can cost
+    return 50 + max(0, math.ceil(math.log10(max(1.0, *(br.gamma for br in cfg.branches)))))
+
+
+def _inverse(m):
+    # the adjugate over the determinant: mpmath's own inverse reuses a cached
+    # LU factor, and two inverses of one matrix can differ in the last digit
+    det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    return mpmath.matrix([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]]) / det
+
+
+@functools.lru_cache(maxsize=None)
+def _eigenvalues(rho, gamma, optimum, dps):
+    """(alpha, beta) of one branch from the eigenvalues of A Sigma0; None if A = 0."""
+    with mpmath.workdps(dps):
+        g, rg = mpmath.mpf(gamma), mpmath.mpf(rho) * gamma
+        sigma0, sigma1 = (mpmath.matrix([[1 + g, c], [c, 1 + g]]) for c in (rg, -rg))
+        form = ((_inverse(sigma1) - _inverse(sigma0)) / 2 if optimum
+                else mpmath.matrix([[0, 0.5], [0.5, 0]]))
+        if not any(form):
+            return None
+        b = form * sigma0
+        half_trace = (b[0, 0] + b[1, 1]) / 2
+        root = mpmath.sqrt(((b[0, 0] - b[1, 1]) / 2) ** 2 + b[0, 1] * b[1, 0])
+        return half_trace + root, root - half_trace
+
+
 def poles(cfg):
-    """(alphas, betas) as mpf at 50 digits; zero-weight optimum branches are dropped."""
+    """(alphas, betas) as mpf, without branches where A = 0; a beta within 1e-40
+    relative of an earlier one is snapped to it, as partial_fractions needs."""
     alphas, betas = [], []
-    with mpmath.workdps(50):
+    dps = _dps(cfg)
+    with mpmath.workdps(dps):
         for br in cfg.branches:
-            g = mpmath.mpf(br.gamma)
-            rg = mpmath.mpf(br.rho) * g
-            if cfg.detector.value == "optimum":
-                if rg == 0:
-                    continue
-                alphas.append(rg / (1 + g - rg))
-                betas.append(rg / (1 + g + rg))
-            else:
-                alphas.append(1 + g + rg)
-                betas.append(1 + g - rg)
+            if pair := _eigenvalues(br.rho, br.gamma, cfg.detector.value == "optimum", dps):
+                alphas.append(pair[0])
+                betas.append(next((b for b in betas if abs(b - pair[1]) <= 1e-40 * b), pair[1]))
     return alphas, betas
+
+
+def chernoff(cfg):
+    """(min, argmin) of E[exp(-theta D)] = prod 1 / (1 + theta lambda) over the
+    eigenvalues, log-convex on (0, 1 / max beta): bisection (1 if none left)."""
+    alphas, betas = poles(cfg)
+    dps = _dps(cfg)
+    with mpmath.workdps(dps):
+        lams = alphas + [-b for b in betas]
+        lo, hi = mpmath.mpf(0), 1 / max(betas, default=1)
+        for _ in range(4 * dps):
+            mid = (lo + hi) / 2
+            lo, hi = (lo, mid) if mpmath.fsum(x / (1 + mid * x) for x in lams) < 0 else (mid, hi)
+        theta = (lo + hi) / 2
+        return mpmath.fprod(1 / (1 + theta * lam) for lam in lams), theta
 
 
 def _residue_sum(alphas, betas):
@@ -222,18 +275,3 @@ def rel_err(value, ref):
 def bep_l1(rho, gamma):
     """Single-branch BEP, the same for both detectors."""
     return (1.0 + gamma * (1.0 - rho)) / (2.0 * (1.0 + gamma))
-
-
-def sub_s_l1(rho, gamma):
-    """The suboptimum Chernoff parameter s* of a single branch."""
-    rg = rho * gamma
-    return rg / (4.0 * ((1.0 + gamma) ** 2 - rg ** 2))
-
-
-def sub_product(pairs, s):
-    """The suboptimum Chernoff product before its factor 1/2, in the arithmetic
-    of the arguments: floats for a finite difference, mpf for a reference."""
-    total = 1
-    for r, g in pairs:
-        total /= (1 + 4 * s * (1 + g + r * g)) * (1 - 4 * s * (1 + g - r * g))
-    return total

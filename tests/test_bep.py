@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import mpmath
 import numpy as np
@@ -221,13 +222,17 @@ def crowded_branches(rng):
 
 
 def test_exact_bep_matches_oracle():
-    # each end point in 1, 2 and 8 copies and at a 1e-9 near-tie; then 8
-    # copies of (1 - 2^-53, 257), where gamma (1 - rho) is half an ulp of
-    # gamma, all of it lost if the poles formed 1 + gamma - rho gamma
+    # each end point in 1, 2 and 8 copies and at a 1e-9 near-tie; 8 copies
+    # of (1 - 2^-53, 257), where gamma (1 - rho) is half an ulp of gamma; huge
+    # gammas; poles near 5e-201 beside poles near 1e154, where the race's
+    # products can underflow; a BEP below the normal floats is not checked
     ends = [(r, g) for r in range_ends(1.0) for g in range_ends(1000.0)]
     shapes = [[end] * n for end in ends for n in (1, 2, 8)]
     shapes += [[(r, g), (r, g * (1.0 + 1e-9))] for r, g in ends]
     shapes.append([(1.0 - 2.0 ** -53, 257.0)] * 8)
+    shapes += [[(r, g)] for r in range_ends(1.0) for g in (1e154, 1e300, sys.float_info.max / 4)]
+    shapes += [[(r, 1e154)] * 2 for r in range_ends(1.0)]
+    shapes.append([(1e-200, 1.0), (1.0, 1e154)])
     rng = random.Random(17)
     shapes += [crowded_branches(rng) for _ in range(100)]
     for pairs in shapes:
@@ -235,7 +240,8 @@ def test_exact_bep_matches_oracle():
             cfg = cfg_of(*pairs, detector=det)
             p = exact_bep(cfg)
             assert 0.0 <= p <= 1.0, (pairs, det)
-            assert oracle.rel_err(p, oracle.bep(cfg)) < 1e-13, (pairs, det)
+            ref = oracle.bep(cfg)
+            assert ref < sys.float_info.min or oracle.rel_err(p, ref) < 1e-13, (pairs, det)
 
 
 def test_oracle_repeated_poles_match_negative_binomial():

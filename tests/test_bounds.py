@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 
-import mpmath
 import numpy as np
 import pytest
 
@@ -19,6 +18,7 @@ from dpskdiv import (
     chernoff_suboptimum,
     exact_bep,
 )
+from ends import range_ends
 
 
 def opt_cfg(*pairs):
@@ -29,15 +29,12 @@ def sub_cfg(*pairs):
     return DiversityConfig(tuple(BranchParams(r, g) for r, g in pairs), Detector.SUBOPTIMUM)
 
 
-GRID_RHOS = (0.9, 0.975, 0.99)
-GRID_GAMMAS = np.logspace(0.0, 3.0, 7)  # 0 to 30 dB
-
-
-def grid_branches(l, rho, offset):
-    # distinct per-branch gammas, cycled through the log grid so no pair of
-    # poles collides and the closed form stays clean
-    return [BranchParams(rho, GRID_GAMMAS[(offset + k) % len(GRID_GAMMAS)])
-            for k in range(l)]
+def grid_configs(make):
+    # distinct per-branch gammas, cycled through a log grid from 0 to 30 dB
+    # so no pair of poles collides
+    gammas = np.logspace(0.0, 3.0, 7)
+    return [make(*[(rho, gammas[(offset + k) % 7]) for k in range(l)])
+            for l in (1, 2, 3, 4) for rho in (0.9, 0.975, 0.99) for offset in range(7)]
 
 
 # ------------------------------------------------------------------ optimum
@@ -55,10 +52,11 @@ def test_optimum_uncorrelated_bound_is_half():
 
 
 def test_optimum_identical_branches_power_form():
+    # l copies share one minimizer: the l-th power of one link-model bound
     rho, gamma, l = 0.975, 12.0, 3
     res = chernoff_optimum(opt_cfg(*[(rho, gamma)] * l), improved=True)
-    expected = 0.5 * (1.0 - (rho * gamma / (1.0 + gamma)) ** 2) ** l
-    assert abs(res.bound - expected) < 1e-15
+    one, _ = oracle.chernoff(opt_cfg((rho, gamma)))
+    assert oracle.rel_err(res.bound, one ** l / 2) < 1e-14
 
 
 def test_optimum_unimproved_is_twice_improved():
@@ -85,49 +83,25 @@ def test_optimum_requires_matching_detector():
 
 
 def test_optimum_dominates_exact_on_grid():
-    violations = 0
-    for l in (1, 2, 3, 4):
-        for rho in GRID_RHOS:
-            for offset in range(len(GRID_GAMMAS)):
-                cfg = opt_cfg(*[(b.rho, b.gamma) for b in grid_branches(l, rho, offset)])
-                p = exact_bep(cfg)
-                if p > chernoff_optimum(cfg, improved=True).bound:
-                    violations += 1
-                if p > chernoff_optimum(cfg, improved=False).bound:
-                    violations += 1
-    assert violations == 0
+    for cfg in grid_configs(opt_cfg):
+        for improved in (True, False):
+            assert chernoff_optimum(cfg, improved=improved).bound >= exact_bep(cfg), cfg
 
 
 # --------------------------------------------------------------- suboptimum
 
 
-def test_suboptimum_l1_matches_closed_form_s():
-    for rho, gamma in ((0.975, 10.0), (0.9, 3.0), (0.5, 100.0), (0.99, 1000.0),
-                       (0.9, 1.0), (0.99, 100.0), (0.5, 3.0)):
-        res = chernoff_suboptimum(sub_cfg((rho, gamma)), improved=True)
-        s_exact = oracle.sub_s_l1(rho, gamma)
-        assert abs(res.s_opt - s_exact) / s_exact < 1e-8
-
-
-def test_suboptimum_identical_branches_share_the_stationary_point():
-    rho, gamma = 0.95, 25.0
-    res = chernoff_suboptimum(sub_cfg(*[(rho, gamma)] * 3), improved=True)
-    s_exact = oracle.sub_s_l1(rho, gamma)
-    assert abs(res.s_opt - s_exact) / s_exact < 1e-8
-
-
-def test_suboptimum_first_order_condition():
-    # central finite difference of the product bound at the optimizer
-    cases = [
-        ((0.975, 3.162), (0.975, 28.46)),
-        ((0.9, 1.0), (0.975, 31.6), (0.99, 316.0)),
-        ((0.9, 2.0), (0.95, 10.0), (0.975, 100.0), (0.99, 900.0)),
-    ]
+def test_suboptimum_s_opt_matches_oracle():
+    # s* = theta* / 8 of the link-model bound, for single branches (the L = 1
+    # closed form), identical ones (the same s*) and distinct ones
+    cases = [[pair] for pair in ((0.975, 10.0), (0.9, 3.0), (0.5, 100.0), (0.99, 1000.0),
+                                 (0.9, 1.0), (0.99, 100.0), (0.5, 3.0))]
+    cases += [[(0.95, 25.0)] * 3, [(0.975, 3.162), (0.975, 28.46)],
+              [(0.9, 1.0), (0.975, 31.6), (0.99, 316.0)],
+              [(0.9, 2.0), (0.95, 10.0), (0.975, 100.0), (0.99, 900.0)]]
     for pairs in cases:
-        s = chernoff_suboptimum(sub_cfg(*pairs), improved=False).s_opt
-        h = 1e-7 * s
-        deriv = (oracle.sub_product(pairs, s + h) - oracle.sub_product(pairs, s - h)) / (2.0 * h)
-        assert abs(deriv) * s / oracle.sub_product(pairs, s) < 1e-6
+        s_opt = chernoff_suboptimum(sub_cfg(*pairs)).s_opt
+        assert oracle.rel_err(s_opt, oracle.chernoff(sub_cfg(*pairs))[1] / 8) < 1e-8, pairs
 
 
 def test_suboptimum_uncorrelated_bound_is_half():
@@ -143,17 +117,9 @@ def test_suboptimum_dominates_exact_published_pair():
 
 
 def test_suboptimum_dominates_exact_on_grid():
-    violations = 0
-    for l in (1, 2, 3, 4):
-        for rho in GRID_RHOS:
-            for offset in range(len(GRID_GAMMAS)):
-                cfg = sub_cfg(*[(b.rho, b.gamma) for b in grid_branches(l, rho, offset)])
-                p = exact_bep(cfg)
-                if p > chernoff_suboptimum(cfg, improved=True).bound:
-                    violations += 1
-                if p > chernoff_suboptimum(cfg, improved=False).bound:
-                    violations += 1
-    assert violations == 0
+    for cfg in grid_configs(sub_cfg):
+        for improved in (True, False):
+            assert chernoff_suboptimum(cfg, improved=improved).bound >= exact_bep(cfg), cfg
 
 
 HUGE_GAMMA_SCRIPT = """
@@ -201,24 +167,30 @@ def test_suboptimum_requires_matching_detector():
 
 
 def test_result_invariants_random_configs():
+    ends = [(r, g) for r in range_ends(1.0) for g in range_ends(1000.0)]
+    shapes = [[end] * n for end in ends for n in (1, 2, 4)]
+    shapes += [list(pair) for pair in itertools.combinations(ends, 2)]
     rng = np.random.default_rng(77)
-    for _ in range(100):
-        n = int(rng.integers(1, 5))
-        pairs = [(rng.uniform(0.0, 1.0), rng.uniform(0.0, 1000.0)) for _ in range(n)]
+    shapes += [[(rng.uniform(0.0, 1.0), rng.uniform(0.0, 1000.0))
+                for _ in range(rng.integers(1, 5))] for _ in range(100)]
+    for pairs in shapes:
         ro = chernoff_optimum(opt_cfg(*pairs), improved=True)
-        assert 0.0 < ro.bound <= 0.5
+        assert 0.0 < ro.bound <= 0.5, pairs
+        assert ro.bound >= exact_bep(opt_cfg(*pairs)), pairs
         rs = chernoff_suboptimum(sub_cfg(*pairs), improved=True)
-        assert 0.0 < rs.bound <= 0.5
-        s_hi = 1.0 / (4.0 * max(1.0 + g - r * g for r, g in pairs))
-        assert 0.0 < rs.s_opt < s_hi
+        assert 0.0 < rs.bound <= 0.5, pairs
+        assert rs.bound >= exact_bep(sub_cfg(*pairs)), pairs
+        _, betas = oracle.poles(sub_cfg(*pairs))
+        assert 0.0 < rs.s_opt < 1 / (8 * max(betas)), pairs  # s = theta / 8, theta < 1 / max beta
         raw = chernoff_suboptimum(sub_cfg(*pairs), improved=False)
-        assert 0.0 < raw.bound <= 1.0
+        assert 0.0 < raw.bound <= 1.0, pairs
 
 
 # ----------------------------------------------------------------- precision
-# Both bounds against references worked in 60-digit mpmath from the float
-# inputs, where rho -> 1 at high SNR makes 1 + gamma - rho gamma and
-# 1 - (rho gamma / (1 + gamma))^2 cancel in double precision.
+# Both bounds against mp_oracle.chernoff, the link-model bound worked in
+# mpmath from the float inputs, where rho -> 1 at high SNR makes
+# 1 + gamma - rho gamma and 1 - (rho gamma / (1 + gamma))^2 cancel in
+# double precision.
 
 PRECISION_PAIRS = list(itertools.product((0.975, 1.0 - 1e-6, 1.0 - 1e-9, 1.0),
                                          (1.0, 1e4, 1e8, 1e10)))
@@ -230,38 +202,14 @@ def precision_configs(l):
     return [tuple(PRECISION_PAIRS[(k + 5 * m) % n] for m in range(l)) for k in range(n)]
 
 
-def mp_optimum_bound(pairs):
-    with mpmath.workdps(60):
-        mp = [(mpmath.mpf(r), mpmath.mpf(g)) for r, g in pairs]
-        return mpmath.fprod(1 - (r * g / (1 + g)) ** 2 for r, g in mp)
-
-
-def mp_suboptimum_bound(pairs):
-    with mpmath.workdps(60):
-        mp = [(mpmath.mpf(r), mpmath.mpf(g)) for r, g in pairs]
-        poles = [(1 + g + r * g, 1 + g - r * g) for r, g in mp]
-
-        def deriv(s):
-            return mpmath.fsum(4 * b / (1 - 4 * s * b) - 4 * a / (1 + 4 * s * a) for a, b in poles)
-
-        lo, hi = mpmath.mpf(0), 1 / (4 * max(b for _, b in poles))
-        for _ in range(200):
-            mid = (lo + hi) / 2
-            if deriv(mid) > 0:
-                hi = mid
-            else:
-                lo = mid
-        return oracle.sub_product(mp, (lo + hi) / 2)
-
-
 @pytest.mark.parametrize("l", [2, 3])
 def test_bounds_match_mpmath_near_unit_rho(l):
     worst = 0.0
     for pairs in precision_configs(l):
-        for bound, cfg, reference in (
-                (chernoff_optimum, opt_cfg(*pairs), mp_optimum_bound(pairs)),
-                (chernoff_suboptimum, sub_cfg(*pairs), mp_suboptimum_bound(pairs))):
+        for bound, cfg in ((chernoff_optimum, opt_cfg(*pairs)),
+                           (chernoff_suboptimum, sub_cfg(*pairs))):
+            reference, _ = oracle.chernoff(cfg)
             for improved, scale in ((False, 1.0), (True, 0.5)):
                 got = bound(cfg, improved=improved).bound
-                worst = max(worst, float(abs(got - scale * reference) / (scale * reference)))
+                worst = max(worst, oracle.rel_err(got, scale * reference))
     assert worst < 1e-13

@@ -69,6 +69,15 @@ def test_bad_doppler_spec_rejected_when_built():
         DopplerSpec(SpectrumKind.JAKES, 0.1, table)
 
 
+def test_doppler_table_stored_as_float_pairs():
+    rows = [[0, 1], [2, 0.5]]  # a list table, changed after the checks
+    spec = DopplerSpec(SpectrumKind.TABULATED, 0.0, rows)
+    rows[1][1] = 7
+    assert spec.table == ((0.0, 1.0), (2.0, 0.5))
+    assert all(type(x) is float for pair in spec.table for x in pair)
+    assert hash(spec) == hash(DopplerSpec(SpectrumKind.TABULATED, 0.0, spec.table))
+
+
 @pytest.mark.parametrize("fdt", [0.3, 1e300])
 def test_tabulated_spectrum_rejects_nonzero_fdt(fdt):
     # the table fixes the covariance, so an fdT would be ignored

@@ -91,15 +91,15 @@ def test_gauss_legendre_weights(n):
 
 
 def test_oracle_imports_no_code_under_test():
-    # in a fresh interpreter: only the standard library and mpmath (with the
-    # gmpy2 backend it loads when installed) may come in with mp_oracle
-    code = ("import sys; before = set(sys.modules); import mp_oracle; "
-            "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
-            "print(sorted(new - set(sys.stdlib_module_names) - {'mpmath', 'gmpy2', 'mp_oracle'}))")
+    # in a fresh interpreter each module loads nothing beyond the stdlib and `allowed`
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    assert out.strip() == "[]"
+    for module, allowed in (("mp_oracle", {"mpmath", "gmpy2"}), ("link_reference", {"numpy"})):
+        code = (f"import sys; before = set(sys.modules); import {module}; "
+                "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
+                f"print(sorted(new - set(sys.stdlib_module_names) - {allowed | {module}!r}))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert out.strip() == "[]", module
 
 
 def test_result_stays_in_range():

@@ -21,6 +21,7 @@ from dpskdiv import (
 from dpskdiv import simulate
 from dpskdiv.simulate import _batch_rng
 
+import mp_oracle as oracle
 from link_reference import decide, loglik_metric, observe, pair_statistic
 
 
@@ -105,9 +106,8 @@ def test_sum_difference_orthogonality_and_variances():
     z_prev, z_curr = observe(normals(14, n), br.rho, r0, 1.0)
     s = z_curr + z_prev
     d = z_curr - z_prev
-    r1 = br.rho * r0
-    var_s = 4.0 * r0 + 4.0 * r1 + 2.0
-    var_d = 4.0 * r0 - 4.0 * r1 + 2.0
+    (alpha,), (beta,) = oracle.poles(DiversityConfig((br,), Detector.SUBOPTIMUM))
+    var_s, var_d = 4.0 * float(alpha), 4.0 * float(beta)  # from the link model's poles
     assert abs(np.mean(np.abs(s) ** 2) / var_s - 1.0) < 0.01
     assert abs(np.mean(np.abs(d) ** 2) / var_d - 1.0) < 0.01
     cross = np.mean(s * np.conj(d))
@@ -136,17 +136,15 @@ def test_decide_tie_goes_to_zero():
 
 def test_decision_statistics_moments():
     # E[x_i] = alpha_i / 2 and E[y_i] = beta_i / 2 under optimum weights,
-    # alpha = rho gamma / (1 + gamma - rho gamma), beta = rho gamma / (1 + gamma + rho gamma)
+    # with the poles of the link model
     br = BranchParams(0.975, 10.0)
     z_prev, z_curr = observe(normals(18, 10**6), br.rho, 0.5 * br.gamma, 1.0)
     (w,) = optimum_weights([br])
     x = w * np.abs(z_curr + z_prev) ** 2 / 4.0
     y = w * np.abs(z_curr - z_prev) ** 2 / 4.0
-    rg = br.rho * br.gamma
-    alpha = rg / (1.0 + br.gamma - rg)
-    beta = rg / (1.0 + br.gamma + rg)
-    assert abs(np.mean(x) / (alpha / 2.0) - 1.0) < 0.01
-    assert abs(np.mean(y) / (beta / 2.0) - 1.0) < 0.01
+    (alpha,), (beta,) = oracle.poles(DiversityConfig((br,), Detector.OPTIMUM))
+    assert abs(np.mean(x) / float(alpha / 2) - 1.0) < 0.01
+    assert abs(np.mean(y) / float(beta / 2) - 1.0) < 0.01
 
 
 # ----------------------------------------------------------- log likelihood
@@ -165,7 +163,7 @@ def test_loglik_indifferent_when_reference_is_zero():
 
 
 def test_loglik_bad_hypothesis():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ValueError):
         loglik_metric(np.array([1j]), np.array([1j]), 0.5, 0.5, 2)
 
 
