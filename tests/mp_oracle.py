@@ -170,9 +170,16 @@ def poles(cfg):
     return alphas, betas
 
 
+def mgf(cfg, theta):
+    """E[exp(-theta D)] = prod 1 / (1 + theta lambda) over the eigenvalues."""
+    alphas, betas = poles(cfg)
+    with mpmath.workdps(_dps(cfg)):
+        return mpmath.fprod(1 / (1 + theta * lam) for lam in alphas + [-b for b in betas])
+
+
 def chernoff(cfg):
-    """(min, argmin) of E[exp(-theta D)] = prod 1 / (1 + theta lambda) over the
-    eigenvalues, log-convex on (0, 1 / max beta): bisection (1 if none left)."""
+    """(min, argmin) of mgf(cfg, theta), log-convex on (0, 1 / max beta):
+    bisection (1 if no beta is left)."""
     alphas, betas = poles(cfg)
     dps = _dps(cfg)
     with mpmath.workdps(dps):
@@ -182,7 +189,7 @@ def chernoff(cfg):
             mid = (lo + hi) / 2
             lo, hi = (lo, mid) if mpmath.fsum(x / (1 + mid * x) for x in lams) < 0 else (mid, hi)
         theta = (lo + hi) / 2
-        return mpmath.fprod(1 / (1 + theta * lam) for lam in lams), theta
+        return mgf(cfg, theta), theta
 
 
 def _residue_sum(alphas, betas):

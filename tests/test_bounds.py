@@ -91,17 +91,43 @@ def test_optimum_dominates_exact_on_grid():
 # --------------------------------------------------------------- suboptimum
 
 
-def test_suboptimum_s_opt_matches_oracle():
-    # s* = theta* / 8 of the link-model bound, for single branches (the L = 1
-    # closed form), identical ones (the same s*) and distinct ones
-    cases = [[pair] for pair in ((0.975, 10.0), (0.9, 3.0), (0.5, 100.0), (0.99, 1000.0),
-                                 (0.9, 1.0), (0.99, 100.0), (0.5, 3.0))]
-    cases += [[(0.95, 25.0)] * 3, [(0.975, 3.162), (0.975, 28.46)],
-              [(0.9, 1.0), (0.975, 31.6), (0.99, 316.0)],
-              [(0.9, 2.0), (0.95, 10.0), (0.975, 100.0), (0.99, 900.0)]]
+def l1_theta(pairs):
+    # one branch: 1 / M = (1 + theta alpha)(1 - theta beta) peaks at
+    # theta* = (alpha - beta) / (2 alpha beta), with the link model's poles
+    (alpha,), (beta,) = oracle.poles(sub_cfg(*pairs))
+    return (alpha - beta) / (2 * alpha * beta)
+
+
+def test_suboptimum_l1_matches_closed_form_s():
+    for pair in ((0.975, 10.0), (0.9, 3.0), (0.5, 100.0), (0.99, 1000.0),
+                 (0.9, 1.0), (0.99, 100.0), (0.5, 3.0)):
+        s_opt = chernoff_suboptimum(sub_cfg(pair), improved=True).s_opt
+        assert oracle.rel_err(s_opt, l1_theta([pair]) / 8) < 1e-8, pair
+        assert oracle.rel_err(s_opt, oracle.chernoff(sub_cfg(pair))[1] / 8) < 1e-8, pair
+
+
+def test_suboptimum_identical_branches_share_the_stationary_point():
+    pair = (0.95, 25.0)
+    s_opt = chernoff_suboptimum(sub_cfg(*[pair] * 3), improved=True).s_opt
+    assert oracle.rel_err(s_opt, l1_theta([pair]) / 8) < 1e-8
+    assert oracle.rel_err(s_opt, oracle.chernoff(sub_cfg(*[pair] * 3))[1] / 8) < 1e-8
+
+
+def test_suboptimum_first_order_condition():
+    # central finite difference of the link-model bound at theta = 8 s_opt,
+    # and s_opt against the bound's own argmin
+    cases = [
+        ((0.975, 3.162), (0.975, 28.46)),
+        ((0.9, 1.0), (0.975, 31.6), (0.99, 316.0)),
+        ((0.9, 2.0), (0.95, 10.0), (0.975, 100.0), (0.99, 900.0)),
+    ]
     for pairs in cases:
-        s_opt = chernoff_suboptimum(sub_cfg(*pairs)).s_opt
-        assert oracle.rel_err(s_opt, oracle.chernoff(sub_cfg(*pairs))[1] / 8) < 1e-8, pairs
+        cfg = sub_cfg(*pairs)
+        theta = 8 * chernoff_suboptimum(cfg, improved=False).s_opt
+        h = 1e-7 * theta
+        deriv = (oracle.mgf(cfg, theta + h) - oracle.mgf(cfg, theta - h)) / (2 * h)
+        assert abs(deriv) * theta / oracle.mgf(cfg, theta) < 1e-6, pairs
+        assert oracle.rel_err(theta, oracle.chernoff(cfg)[1]) < 1e-8, pairs
 
 
 def test_suboptimum_uncorrelated_bound_is_half():
