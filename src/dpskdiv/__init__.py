@@ -10,7 +10,6 @@ from .bep import (
     chernoff_optimum,
     chernoff_suboptimum,
     exact_bep,
-    optimum_weights,
     power_split,
 )
 from .channel import (
@@ -40,7 +39,6 @@ __all__ = [
     "chernoff_suboptimum",
     "estimate_bep",
     "exact_bep",
-    "optimum_weights",
     "power_split",
     "rho_from_doppler",
 ]

@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from .channel import BranchParams, Detector, DiversityConfig
+from .channel import Detector, DiversityConfig
 from .errors import ConfigError
 
 
@@ -39,18 +39,6 @@ from .errors import ConfigError
 class ChernoffResult:
     bound: float
     s_opt: float
-
-
-def optimum_weights(branches: Sequence[BranchParams]) -> List[float]:
-    """Likelihood-ratio combining weights w_i = rho_i gamma_i / [(1+gamma_i)^2 - (rho_i gamma_i)^2].
-
-    Computed as rho_i / [(1/gamma_i + 1 + rho_i)(1 + gamma_i (1 - rho_i))],
-    which neither overflows for large gamma_i nor cancels as rho_i -> 1;
-    w_i = 0 at gamma_i = 0.
-    """
-    branches = DiversityConfig(branches, Detector.OPTIMUM).branches  # checks them
-    return [br.rho / ((1.0 / br.gamma + 1.0 + br.rho) * (1.0 + br.gamma * (1.0 - br.rho)))
-            if br.gamma > 0.0 else 0.0 for br in branches]
 
 
 def _poles(cfg: DiversityConfig) -> Tuple[List[float], List[float]]:

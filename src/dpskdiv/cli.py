@@ -108,12 +108,19 @@ class SweepSpec:
             raise ConfigError("choose one bound variant: chernoff or chernoff_improved")
         if "mc" in self.outputs and self.mc_trials is None:
             raise ConfigError("mc output is only available through the simulate command")
-        _grid_values(self.gamma_start, self.gamma_stop, self.gamma_step)
+        top = _grid_values(self.gamma_start, self.gamma_stop, self.gamma_step)[-1]
         for name, values in (("eta", self.etas), ("rho", self.rhos), ("detector", self.detectors)):
             if not values:
                 raise ConfigError(f"{name} list is empty")
         if "mc" in self.outputs and self.seed is None:
             raise ConfigError("mc output requires a seed")
+        # every grid point's branches are valid if those at the top SNR are:
+        # the gammas grow with the SNR, and eta and rho do not depend on it
+        for eta in self.etas:
+            g1, g2 = power_split(top, eta)
+            for rho in self.rhos:
+                for det in self.detectors:
+                    DiversityConfig((BranchParams(rho, g1), BranchParams(rho, g2)), det)
 
 
 def format_row(row: ResultRow) -> str:

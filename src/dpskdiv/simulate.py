@@ -74,7 +74,6 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Optional, Tuple
 
-from .bep import optimum_weights
 from .channel import Detector, DiversityConfig
 from .errors import ConfigError
 
@@ -116,20 +115,24 @@ def _batch_rng(seed: int, batch: int) -> np.random.Generator:
 
 def _coefficients(cfg: DiversityConfig) -> Tuple[np.ndarray, np.ndarray]:
     """Per-branch (a, b) of the bit-0 statistic sum_i a_i (v0^2 + v1^2) +
-    b_i (v0 v2 + v1 v3), with w_i the detector's weights:
-    a_i = w_i rho_i gamma_i / 2 and
-    b_i = w_i sqrt(1 + gamma_i (1 - rho_i)) sqrt(1 + gamma_i (1 + rho_i)) / 2.
-
-    b is a product of two roots: the product under one root overflows from
-    gamma ~ 1e154.
+    b_i (v0 v2 + v1 v3), from the eigenvalues p = 1 + gamma + rho gamma and
+    m = 1 + gamma (1 - rho) of the pair covariance.  Unit weights give
+    a = rho gamma / 2 and b = sqrt(p m) / 2; the optimum detector scales both
+    by the likelihood-ratio weight rho gamma / (p m).  Both are formed as
+    ratios, so no subnormal weight forms on the way, and b takes two roots:
+    p m overflows from gamma ~ 1e154.
     """
     import numpy as np
-    branches = cfg.branches
-    weights = (optimum_weights(branches) if cfg.detector is Detector.OPTIMUM
-               else [1.0] * len(branches))
-    a = [0.5 * w * br.rho * br.gamma for w, br in zip(weights, branches)]
-    b = [0.5 * w * math.sqrt(1.0 + br.gamma * (1.0 - br.rho))
-         * math.sqrt(1.0 + br.gamma * (1.0 + br.rho)) for w, br in zip(weights, branches)]
+    a, b = [], []
+    for br in cfg.branches:
+        rg = br.rho * br.gamma
+        p, m = 1.0 + br.gamma + rg, 1.0 + br.gamma * (1.0 - br.rho)
+        if cfg.detector is Detector.OPTIMUM:
+            a.append((rg / p) * (rg / m) / 2.0)
+            b.append(rg / math.sqrt(p) / math.sqrt(m) / 2.0)
+        else:
+            a.append(rg / 2.0)
+            b.append(math.sqrt(p) * math.sqrt(m) / 2.0)
     return np.array(a), np.array(b)
 
 

@@ -2,7 +2,8 @@
 
 observe draws each branch's fading and noise apart, from 8 standard normals,
 and decide is the weighted complex sign detector; loglik_metric scores the
-two hypotheses by maximum likelihood.  pair_statistic forms the bit-0
+two hypotheses by maximum likelihood, and ml_weights reads the weights of the
+optimum detector off that metric.  pair_statistic forms the bit-0
 statistic from the pair (z_prev, z_curr) alone, drawn from 4 standard
 normals per branch.  The tests check the channel model and the detector on
 these functions, and check that dpskdiv.simulate, which draws L
@@ -46,6 +47,14 @@ def decide(z_prev: np.ndarray, z_curr: np.ndarray, weights) -> np.ndarray:
     return stat < 0.0
 
 
+def _conditional(rho, r0):
+    """(s2, c, v): E|z_prev|^2 = s2, and z_curr given z_prev under phase
+    difference 0 has mean c z_prev and variance v (eb = n0 = 1)."""
+    r1 = rho * r0
+    s2 = 2.0 * r0 + 1.0
+    return s2, 2.0 * r1 / s2, s2 - (2.0 * r1) ** 2 / s2
+
+
 def loglik_metric(z_prev: np.ndarray, z_curr: np.ndarray, rho, r0, m: int):
     """Log-likelihood of (..., L) outputs under phase difference pi*m.
 
@@ -58,13 +67,21 @@ def loglik_metric(z_prev: np.ndarray, z_curr: np.ndarray, rho, r0, m: int):
     if m not in (0, 1):
         raise ValueError(f"hypothesis m must be 0 or 1, got {m}")
     sign = 1.0 if m == 0 else -1.0
-    r1 = rho * r0
-    s2 = 2.0 * r0 + 1.0
-    mean_coef = 2.0 * r1 / s2
-    var_c = s2 - (2.0 * r1) ** 2 / s2
+    s2, mean_coef, var_c = _conditional(rho, r0)
     diff = z_curr - sign * mean_coef * z_prev
     return np.sum(-np.log(np.pi * var_c) - np.abs(diff) ** 2 / var_c
                   - np.log(np.pi * s2) - np.abs(z_prev) ** 2 / s2, axis=-1)
+
+
+def ml_weights(rho, r0):
+    """Maximum-likelihood combining weights, broadcasting over branches.
+
+    loglik_metric(..., 0) - loglik_metric(..., 1) is, per branch,
+    (|z_curr + c z_prev|^2 - |z_curr - c z_prev|^2) / v
+    = 4 (c / v) Re(z_curr conj(z_prev)), so the weight is c / v.
+    """
+    _, mean_coef, var_c = _conditional(rho, r0)
+    return mean_coef / var_c
 
 
 def pair_statistic(v: np.ndarray, a, b) -> np.ndarray:

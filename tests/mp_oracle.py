@@ -157,11 +157,12 @@ def _eigenvalues(rho, gamma, optimum, dps):
         return half_trace + root, root - half_trace
 
 
-def poles(cfg):
+def poles(cfg, dps=None):
     """(alphas, betas) as mpf, without branches where A = 0; a beta within 1e-40
-    relative of an earlier one is snapped to it, as partial_fractions needs."""
+    relative of an earlier one is snapped to it, as partial_fractions needs.
+    dps, the working digits, defaults to _dps(cfg)."""
     alphas, betas = [], []
-    dps = _dps(cfg)
+    dps = dps or _dps(cfg)
     with mpmath.workdps(dps):
         for br in cfg.branches:
             if pair := _eigenvalues(br.rho, br.gamma, cfg.detector.value == "optimum", dps):

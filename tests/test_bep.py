@@ -13,7 +13,6 @@ from dpskdiv import (
     Detector,
     DiversityConfig,
     exact_bep,
-    optimum_weights,
     power_split,
 )
 from ends import range_ends
@@ -21,40 +20,6 @@ from ends import range_ends
 
 def cfg_of(*pairs, detector=Detector.OPTIMUM):
     return DiversityConfig(tuple(BranchParams(r, g) for r, g in pairs), detector)
-
-
-# ---------------------------------------------------------------- weights
-
-
-def test_weights_zero_correlation():
-    assert optimum_weights([BranchParams(0.0, 10.0)]) == [0.0]
-
-
-def test_weights_zero_snr():
-    assert optimum_weights([BranchParams(1.0, 0.0)]) == [0.0]
-
-
-def test_weights_hand_value():
-    (w,) = optimum_weights([BranchParams(1.0, 1.0)])
-    assert abs(w - 1.0 / 3.0) < 1e-15
-
-
-def test_weights_nonnegative():
-    rng = np.random.default_rng(5)
-    for _ in range(50):
-        branches = [BranchParams(rng.uniform(0, 1), rng.uniform(0, 100))
-                    for _ in range(rng.integers(1, 5))]
-        assert all(w >= 0.0 for w in optimum_weights(branches))
-
-
-def test_weights_finite_at_huge_snr():
-    for gamma in (1e10, 1e154, 1e200, 1e300):
-        for rho in (0.5, 0.9, 1.0):
-            (w,) = optimum_weights([BranchParams(rho, gamma)])
-            assert math.isfinite(w) and w > 0.0
-        # 1 - rho**2 dominates 1/gamma: w -> rho / ((1 + rho)(1 - rho) gamma)
-        (w,) = optimum_weights([BranchParams(0.5, gamma)])
-        assert abs(w * gamma / (0.5 / 0.75) - 1.0) < 1e-9
 
 
 # ---------------------------------------------------------------- exact_bep

@@ -14,7 +14,7 @@ import pytest
 import dpskdiv
 import mp_oracle
 from dpskdiv import ConfigError, Detector
-from dpskdiv.cli import CSV_HEADER, ResultRow, SweepSpec, format_row, main, sweep_rows
+from dpskdiv.cli import CSV_HEADER, ResultRow, SweepSpec, entry, format_row, main, sweep_rows
 
 # the parser of a column, by the conversion letter that ends its format
 _PARSERS = {"g": float, "e": float, "s": str, "d": int}
@@ -243,8 +243,13 @@ _SPEC = dict(gamma_start=0.0, gamma_stop=10.0, gamma_step=5.0, etas=(0.1,), rhos
     (dict(gamma_step=0.0), "step=0.0 must be positive"),
     (dict(gamma_stop=-1.0), "empty range: stop is below start"),
     (dict(gamma_stop=math.inf), "range 0.0:inf:5.0 must have finite ends and span"),
+    (dict(rhos=(0.975, 1.5)), "branch 0: rho=1.5 outside [0, 1]"),
+    (dict(etas=(0.1, 1.0)), "eta=1.0 must lie strictly inside (0, 1)"),
+    # 3080 dB is 1e308, a float, but its 0.9 share is over the top gamma
+    (dict(gamma_stop=3080.0), "branch 1: gamma=9e+307 too large, 4*gamma must be finite"),
 ], ids=["no-output", "unknown-output", "both-bounds", "mc-no-trials", "mc-no-seed",
-        "no-eta", "no-rho", "no-detector", "step-zero", "stop-below-start", "infinite-end"])
+        "no-eta", "no-rho", "no-detector", "step-zero", "stop-below-start", "infinite-end",
+        "rho-above-one", "eta-one", "top-gamma-overflows"])
 def test_sweep_spec_checks_itself(changes, message):
     with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
         SweepSpec(**{**_SPEC, **changes})
@@ -551,6 +556,20 @@ def test_bad_value_error_names_it(capsys, tmp_path, argv, named):
 
 
 # ------------------------------------------------------------------ parsing
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["bep", "--L", "1", "--rho", "1", "--gamma-db", "10", "--detector", "optimum"], 0),
+    (["bep", "--no-such-flag"], 2),
+], ids=["valid", "unknown-flag"])
+def test_entry_exits_with_main_code(monkeypatch, capsys, argv, code):
+    # the console script reads sys.argv and exits with main's return code
+    monkeypatch.setattr(sys, "argv", ["dpskdiv", *argv])
+    with pytest.raises(SystemExit) as exc:
+        entry()
+    assert exc.value.code == code
+    out, err = capsys.readouterr()
+    assert (out.startswith(CSV_HEADER), err.startswith("error: ")) == (code == 0, code == 2)
 
 
 def test_parse_rejects_foreign_header():

@@ -2,6 +2,7 @@ import math
 import sys
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -14,7 +15,6 @@ from dpskdiv import (
     SpectrumKind,
     estimate_bep,
     exact_bep,
-    optimum_weights,
     power_split,
     rho_from_doppler,
 )
@@ -22,7 +22,8 @@ from dpskdiv import simulate
 from dpskdiv.simulate import _batch_rng
 
 import mp_oracle as oracle
-from link_reference import decide, loglik_metric, observe, pair_statistic
+from ends import range_ends
+from link_reference import decide, loglik_metric, ml_weights, observe, pair_statistic
 
 
 def normals(seed, n, l=1):
@@ -139,7 +140,7 @@ def test_decision_statistics_moments():
     # with the poles of the link model
     br = BranchParams(0.975, 10.0)
     z_prev, z_curr = observe(normals(18, 10**6), br.rho, 0.5 * br.gamma, 1.0)
-    (w,) = optimum_weights([br])
+    w = ml_weights(br.rho, 0.5 * br.gamma)
     x = w * np.abs(z_curr + z_prev) ** 2 / 4.0
     y = w * np.abs(z_curr - z_prev) ** 2 / 4.0
     (alpha,), (beta,) = oracle.poles(DiversityConfig((br,), Detector.OPTIMUM))
@@ -169,9 +170,9 @@ def test_loglik_bad_hypothesis():
 
 def test_loglik_argmax_matches_sign_decision():
     branches = [BranchParams(0.975, 3.162), BranchParams(0.9, 28.46)]
-    weights = optimum_weights(branches)
     rho = np.array([br.rho for br in branches])
     r0 = np.array([0.5 * br.gamma for br in branches])
+    weights = ml_weights(rho, r0)
     n = 10**5
     rng = np.random.default_rng(20)
     bits = rng.random(n) < 0.5
@@ -338,6 +339,28 @@ def coefficients(branches, det):
     return simulate._coefficients(cfg)
 
 
+@pytest.mark.parametrize("det", list(Detector))
+def test_coefficients_match_link_forms(det):
+    # one branch against the 2x2 forms of the link model: with (alpha, -beta)
+    # the eigenvalues of A Sigma0, a = (alpha - beta) / 4 and
+    # b = sqrt(alpha beta) / 2 for the optimum form, twice that for unit
+    # weights, and both 0 where A is 0.  alpha - beta is 2 rho gamma / p of
+    # alpha, p = 1 + gamma + rho gamma, down to ~1e-647 here, so the poles take
+    # 700 digits; where the reference is below the smallest normal float, an
+    # error up to 1e-15 of that float is allowed
+    scale = 1 if det is Detector.OPTIMUM else 2
+    for rho in range_ends(1.0):
+        for gamma in range_ends(sys.float_info.max / 4):
+            (a,), (b,) = coefficients([(rho, gamma)], det)
+            alphas, betas = oracle.poles(DiversityConfig((BranchParams(rho, gamma),), det), dps=700)
+            if not alphas:
+                assert a == b == 0.0, (rho, gamma)
+                continue
+            (alpha,), (beta,) = alphas, betas
+            for x, ref in ((a, scale * (alpha - beta) / 4), (b, scale * mpmath.sqrt(alpha * beta) / 2)):
+                assert abs(x - ref) <= 1e-15 * max(ref, sys.float_info.min), (rho, gamma, x, ref)
+
+
 @pytest.mark.parametrize("n", [1, 10, 4321])
 def test_sub_blocks_match_one_draw(monkeypatch, n):
     # sub-blocks of a size that divides neither n nor the batch, and batches
@@ -383,7 +406,7 @@ def test_kernel_statistic_matches_link_reference(rho, gamma, det):
     kernel = 2.0 * simulate._statistic(rng.standard_normal(n), rng.standard_exponential((n, 1)), a, b)
     g = np.random.default_rng(31).standard_normal((n, 1, 8))
     z_prev, z_curr = observe(g, rho, 0.5 * gamma, 1.0)
-    (w,) = optimum_weights([BranchParams(rho, gamma)]) if det is Detector.OPTIMUM else (1.0,)
+    w = ml_weights(rho, 0.5 * gamma) if det is Detector.OPTIMUM else 1.0
     ref = w * (z_curr * np.conj(z_prev)).real[:, 0]
     for x, y in ((kernel, ref), ((kernel - kernel.mean()) ** 2, (ref - ref.mean()) ** 2)):
         assert abs(x.mean() - y.mean()) <= 4.0 * math.sqrt((x.var() + y.var()) / n)
@@ -422,7 +445,7 @@ def test_estimate_matches_link_reference(det, seed):
     est = estimate_bep(cfg, n, seed=seed)
     rho = np.array([br.rho for br in branches])
     r0 = np.array([0.5 * br.gamma for br in branches])
-    weights = optimum_weights(branches) if det is Detector.OPTIMUM else np.ones(len(branches))
+    weights = ml_weights(rho, r0) if det is Detector.OPTIMUM else np.ones(len(branches))
     rng = np.random.default_rng(seed + 1)
     errors = 0
     for _ in range(n // chunk):
@@ -434,12 +457,15 @@ def test_estimate_matches_link_reference(det, seed):
     assert abs(est.errors - errors) / n < 4.0 * math.sqrt(2.0 * p * (1.0 - p) / n)
 
 
-def test_estimate_at_largest_gamma_matches_1e300():
-    # the coefficients scale with gamma and only the statistic's sign counts,
-    # so the same draws give the same errors; eight branches at the largest
-    # valid gamma overflow the unscaled statistic in some trials
+@pytest.mark.parametrize("det", list(Detector))
+def test_estimate_at_largest_gamma_matches_1e300(det):
+    # once gamma dominates 1, the unit-weight coefficients scale with gamma and
+    # the optimum ones stop moving, and only the statistic's sign counts, so
+    # the same draws give the same errors; eight branches at the largest valid
+    # gamma overflow the unscaled unit-weight statistic in some trials, and
+    # the optimum weight rho gamma / (p m) itself is subnormal there
     def errors(gamma):
-        cfg = DiversityConfig((BranchParams(0.3, gamma),) * 8, Detector.SUBOPTIMUM)
+        cfg = DiversityConfig((BranchParams(0.3, gamma),) * 8, det)
         return estimate_bep(cfg, 4000, seed=5).errors
 
     assert errors(sys.float_info.max / 4) == errors(1e300)
@@ -469,9 +495,9 @@ def test_estimate_invalid_arguments():
 def test_bit_symmetry():
     # the two conditional error rates of the kernel's channel and detector
     br = [BranchParams(0.975, 3.162), BranchParams(0.975, 28.46)]
-    weights = optimum_weights(br)
     rho = np.array([b.rho for b in br])
     r0 = np.array([0.5 * b.gamma for b in br])
+    weights = ml_weights(rho, r0)
     n = 2 * 10**5
     rng = np.random.default_rng(21)
     rates = []
