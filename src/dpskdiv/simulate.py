@@ -25,14 +25,18 @@ one normal, and S has exactly the law of
     2 sum_i a_i E_i + sqrt(2 sum_i b_i^2 E_i) Z,    Z ~ N(0, 1)
 
 (the conditional-Gaussian form of a Hermitian quadratic form; Proakis,
-Digital Communications, App. B).  A trial therefore draws L exponentials
-and one normal instead of 4L normals; each trial is still an independent
-draw of S, so the error count is binomial.  The kernel forms S / 2.
+Digital Communications, App. B).  Every a_i is >= 0, so a trial with Z >= 0
+has S >= 0 and is never an error.  Z is symmetric, so its sign is a fair bit
+independent of |Z| and of the E's: the kernel draws the signs first and
+draws |Z| and the L exponentials only for the trials with Z < 0, about half
+of them.  On average a trial takes one raw bit and (L + 1) / 2 numbers
+instead of 4L normals; each trial is still an independent draw of S, so the
+error count is binomial.  The kernel forms S / 2.
 
 A zero statistic decides 0, an error for bit 1 only, so each tie is an
 error with probability 1/2.  Ties have probability zero unless every term
 vanishes, as for the optimum detector when every rho_i gamma_i is 0 and the
-weights are all 0.
+coefficients are all 0; then every trial is a tie, whatever its sign.
 
 The link-level model, which draws the fading and the noise of each output
 apart, the complex sign detector and the four-normal pair statistic are
@@ -44,18 +48,30 @@ Reproducibility contract
 Trials are split into fixed-size batches of TRIALS_PER_BATCH.  Batch b is
 generated from its own counter-based stream, Philox keyed by the 64-bit
 seed with counter b << 64, so any assignment of batches to workers yields
-the same totals.  Within a batch the draw order is (stream v4):
+the same totals.  Within a batch of n trials the draw order is (stream v5):
 
-1. numpy's ziggurat standard_normal(trials), the Z of every trial;
-2. a (trials, L) block of numpy's ziggurat standard_exponential, row t
-   holding E_1..E_L of trial t;
-3. one binomial draw, Binomial(ties, 1/2), for the batch's ties.
+1. ceil(n / 64) raw 64-bit Philox words (bit_generator.random_raw); read as
+   one little-endian integer, bit t is the sign of trial t, and the k set
+   bits among the low n mark the trials with Z < 0;
+2. numpy's ziggurat standard_normal(k), used as -|Z| of those trials in
+   order;
+3. a (k, L) block of numpy's ziggurat standard_exponential, row j holding
+   E_1..E_L of the j-th such trial;
+4. one binomial draw, Binomial(ties, 1/2), for the batch's ties.
 
-The ziggurats' tables belong to numpy, so the stream is pinned to numpy's
-Generator as well as to Philox: a port needs numpy's normal and exponential
-ziggurats and its binomial sampler.  Changing TRIALS_PER_BATCH changes the
-stream layout and therefore the estimates; it is a contract constant, not a
-tuning knob.
+If every coefficient is 0, the batch draws Binomial(n, 1/2) over all n
+trials and nothing else.
+
+The split is exact: the set bits count Binomial(n, 1/2), the law of the
+number of negative Z's, and -|Z| has the law of Z given Z < 0.  numpy's
+ziggurat normal takes its own sign from a random bit apart from the
+magnitude it accepts (Marsaglia & Tsang, 2000), so stream v4, which drew n
+normals and the (n, L) block, gives the error count the same law, though not
+the same numbers.  The ziggurats' tables belong to numpy, so the stream is
+pinned to numpy's Generator as well as to Philox: a port needs Philox's raw
+output, numpy's normal and exponential ziggurats and its binomial sampler.
+Changing TRIALS_PER_BATCH changes the stream layout and therefore the
+estimates; it is a contract constant, not a tuning knob.
 
 The kernel draws and processes the exponential block in consecutive
 sub-blocks of trials, reusing one buffer.  Filling consecutive slices
@@ -143,13 +159,23 @@ def _statistic(z: np.ndarray, e: np.ndarray, a: np.ndarray, b: np.ndarray) -> np
 
 def _count_errors(rng: np.random.Generator, n: int, a: np.ndarray, b: np.ndarray) -> int:
     import numpy as np
-    z, e = rng.standard_normal(n), np.empty((min(n, _SUB_BLOCK), len(a)))
+    if not b.any():
+        # b_i = 0 forces a_i = 0, so the statistic is 0 in every trial, and a
+        # tie decides 0, an error for bit 1 only
+        return int(rng.binomial(n, 0.5))
+    # every a_i >= 0, so a trial with Z >= 0 is never an error; the sign of Z
+    # is a fair bit apart from |Z|, so the low n bits of the raw words give
+    # the k trials with Z < 0, and only they draw -|Z| and their E's
+    raw = rng.bit_generator.random_raw((n + 63) // 64)
+    raw[-1] &= np.uint64(_MASK64 >> (-n % 64))
+    k = int(np.count_nonzero(np.unpackbits(raw.view(np.uint8))))
+    z, e = rng.standard_normal(k), np.empty((min(k, _SUB_BLOCK), len(a)))
+    np.negative(np.abs(z, out=z), out=z)
     errors = ties = 0
-    for zs in np.split(z, range(_SUB_BLOCK, n, _SUB_BLOCK)):
+    for zs in np.split(z, range(_SUB_BLOCK, k, _SUB_BLOCK)):
         stat = _statistic(zs, rng.standard_exponential(out=e[:len(zs)]), a, b)
         errors += int(np.count_nonzero(stat < 0.0))
         ties += int(np.count_nonzero(stat == 0.0))
-    # a tie decides 0, an error for bit 1 only: each is an error with probability 1/2
     return errors + int(rng.binomial(ties, 0.5))
 
 

@@ -7,9 +7,10 @@ optimum detector off that metric.  pair_statistic forms the bit-0
 statistic from the pair (z_prev, z_curr) alone, drawn from 4 standard
 normals per branch.  The tests check the channel model and the detector on
 these functions, and check that dpskdiv.simulate, which draws L
-exponentials and one normal per trial, reproduces their statistic and
-error rate.  Nothing in dpskdiv calls this, and it imports only numpy and the
-standard library, so it borrows no routine from the code it checks.
+exponentials and one normal for each trial whose normal is negative,
+reproduces their statistic and error rate.  Nothing in dpskdiv calls this,
+and it imports only numpy and the standard library, so it borrows no
+routine from the code it checks.
 """
 
 import math

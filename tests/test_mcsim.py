@@ -192,10 +192,12 @@ def test_estimate_matches_l1_closed_form():
     assert est.trials == 10**6
     assert abs(est.p_hat - 1.0 / 22.0) < 3.0 * est.ci95_halfwidth
     assert abs(est.p_hat - est.errors / est.trials) < 1e-15
-    # the Wilson limits are the roots p of (p_hat - p)^2 = 1.96^2 p (1 - p) / n
-    k = 1.96 ** 2 / est.trials
-    lo, hi = np.roots([1.0 + k, -(2.0 * est.p_hat + k), est.p_hat ** 2])[::-1]
-    expect_ci = max(hi - est.p_hat, est.p_hat - lo)
+    # the Wilson limits are the roots p of (p_hat - p)^2 = 1.96^2 p (1 - p) / n,
+    # taken at 50 digits: np.roots can miss them by 1e-12 relative
+    with mpmath.workdps(50):
+        p_hat, k = mpmath.mpf(est.p_hat), mpmath.mpf(1.96) ** 2 / est.trials
+        lo, hi = sorted(mpmath.polyroots([1 + k, -(2 * p_hat + k), p_hat ** 2]))
+        expect_ci = float(max(hi - p_hat, p_hat - lo))
     assert abs(est.ci95_halfwidth - expect_ci) < 1e-12 * expect_ci
 
 
@@ -311,16 +313,16 @@ GOLDEN_BRANCHES = {
     8: [(0.8, 0.3), (0.85, 0.5), (0.88, 0.8), (0.9, 1.0),
         (0.92, 1.5), (0.94, 2.0), (0.96, 3.0), (0.98, 4.0)],
 }
-# stream v4 errors for (L, detector, trials) at seed 2024 + L; 200 000 trials end
+# stream v5 errors for (L, detector, trials) at seed 2024 + L; 200 000 trials end
 # mid-batch and 262 144 = 2 * 2**17 end on a batch boundary
 GOLDEN_ERRORS = {
-    (1, Detector.OPTIMUM, 200_000): 11483, (1, Detector.OPTIMUM, 262_144): 15006,
-    (1, Detector.SUBOPTIMUM, 200_000): 11483, (1, Detector.SUBOPTIMUM, 262_144): 15006,
-    (2, Detector.OPTIMUM, 200_000): 4779, (2, Detector.OPTIMUM, 262_144): 6215,
-    (2, Detector.SUBOPTIMUM, 200_000): 6174, (2, Detector.SUBOPTIMUM, 262_144): 8034,
-    (4, Detector.OPTIMUM, 200_000): 3, (4, Detector.OPTIMUM, 262_144): 9,
-    (4, Detector.SUBOPTIMUM, 200_000): 25, (4, Detector.SUBOPTIMUM, 262_144): 31,
-    (8, Detector.OPTIMUM, 200_000): 1538, (8, Detector.SUBOPTIMUM, 200_000): 1747,
+    (1, Detector.OPTIMUM, 200_000): 11302, (1, Detector.OPTIMUM, 262_144): 14817,
+    (1, Detector.SUBOPTIMUM, 200_000): 11302, (1, Detector.SUBOPTIMUM, 262_144): 14817,
+    (2, Detector.OPTIMUM, 200_000): 4762, (2, Detector.OPTIMUM, 262_144): 6316,
+    (2, Detector.SUBOPTIMUM, 200_000): 6156, (2, Detector.SUBOPTIMUM, 262_144): 8150,
+    (4, Detector.OPTIMUM, 200_000): 3, (4, Detector.OPTIMUM, 262_144): 4,
+    (4, Detector.SUBOPTIMUM, 200_000): 22, (4, Detector.SUBOPTIMUM, 262_144): 35,
+    (8, Detector.OPTIMUM, 200_000): 1529, (8, Detector.SUBOPTIMUM, 200_000): 1747,
 }
 
 
@@ -364,27 +366,37 @@ def test_coefficients_match_link_forms(det):
 @pytest.mark.parametrize("n", [1, 10, 4321])
 def test_sub_blocks_match_one_draw(monkeypatch, n):
     # sub-blocks of a size that divides neither n nor the batch, and batches
-    # smaller than one sub-block, give the errors of one whole-block draw in
-    # the stream-v4 order: the n normals, the (n, L) exponential block, then
-    # the binomial; the all-zero optimum weights make every trial a tie
+    # smaller than one sub-block or one 64-bit word, give the errors of one
+    # whole-block draw in the stream-v5 order: n raw bits, bit t of the words
+    # read as one little-endian integer being the sign of trial t; the k
+    # normals of the set bits, as -|Z|; the (k, L) exponential block; then
+    # the binomial.  The all-zero optimum weights make every trial a tie, and
+    # then the binomial over all n trials is the only draw
     monkeypatch.setattr(simulate, "_SUB_BLOCK", 1000)
     for branches, det in (([(0.8, 0.3), (0.9, 1.0), (0.95, 2.0)], Detector.OPTIMUM),
                           ([(0.8, 0.3), (0.9, 1.0), (0.95, 2.0)], Detector.SUBOPTIMUM),
                           ([(0.0, 4.0), (0.0, 9.0)], Detector.OPTIMUM)):
         a, b = coefficients(branches, det)
         ref = _batch_rng(77, 3)
-        z = ref.standard_normal(n)
-        stat = simulate._statistic(z, ref.standard_exponential((n, len(a))), a, b)
-        ties = np.count_nonzero(stat == 0.0)
-        expect = int(np.count_nonzero(stat < 0.0)) + int(ref.binomial(ties, 0.5))
+        if a.any() or b.any():
+            words = ref.bit_generator.random_raw((n + 63) // 64)
+            signs = sum(int(w) << (64 * i) for i, w in enumerate(words)) % (1 << n)
+            z = -np.abs(ref.standard_normal(bin(signs).count("1")))
+            stat = simulate._statistic(z, ref.standard_exponential((len(z), len(a))), a, b)
+            errors, ties = int(np.count_nonzero(stat < 0.0)), int(np.count_nonzero(stat == 0.0))
+        else:
+            errors, ties = 0, n
+        expect = errors + int(ref.binomial(ties, 0.5))
         rng = _batch_rng(77, 3)
         assert simulate._count_errors(rng, n, a, b) == expect
         assert rng.random() == ref.random()  # both consumed the same draws
 
 
 def test_batch_peak_memory():
-    # the batch's 2**17 normals take 1 MiB and a whole (2**17, 4) exponential
-    # block 4 MiB more; sub-blocks keep one batch under 2 MiB
+    # the ~2**16 trials with Z < 0 draw ~0.5 MiB of normals and a (2**16, 4)
+    # exponential block of ~2 MiB; drawn whole, with the statistic's
+    # temporaries, one batch peaks near 4.2 MiB, and sub-blocks keep it near
+    # 1 MiB
     a, b = coefficients(GOLDEN_BRANCHES[4], Detector.OPTIMUM)
     tracemalloc.start()
     try:
